@@ -1,7 +1,9 @@
 // E5 -- reproduces the Section IV baseline comparison: the naive method
-// that targets one valve per vector needs ~2*n_v vectors; the proposed
-// method needs ~2*sqrt(n_v) -- "a squared complexity compared with the
-// proposed method".
+// that targets one valve per vector needs ~2*n_v vectors, "a squared
+// complexity compared with the proposed method". The paper puts the
+// proposed method near 2*sqrt(n_v); here it measures N = 50 / 85 / 87 / 132
+// on 10x10 .. 30x30, above both 2*sqrt(n_v) (printed for reference) and the
+// paper's 26 / 44 / 70 / 98 -- see bench_table1 and ROADMAP item 4.
 #include <cmath>
 #include <iostream>
 
@@ -48,6 +50,7 @@ int main() {
   }
   std::cout << table.to_string() << "\n";
   std::cout << "The ratio grows with array size: the baseline is "
-               "O(n_v), the proposed method O(sqrt(n_v)) vectors.\n";
+               "O(n_v); the proposed N stays within a small factor of "
+               "2*sqrt(n_v) but above it (see bench_table1).\n";
   return 0;
 }

@@ -1,8 +1,8 @@
 #include "lp/lu_factorization.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <limits>
 
 namespace fpva::lp {
 
@@ -11,6 +11,9 @@ namespace {
 /// Candidate columns examined per Markowitz pivot step before widening to a
 /// full scan; bounds the search without giving up the fill-minimizing pick.
 constexpr int kPivotCandidateCap = 64;
+/// The first pass takes columns whose count is within this much of the
+/// smallest active count.
+constexpr int kCountSlack = 3;
 
 }  // namespace
 
@@ -44,115 +47,178 @@ void LuFactorization::clear_factor() {
   factor_nnz_ = 0;
 }
 
-double LuFactorization::w_entry(int row, int col) const {
-  const auto& cols = w_row_cols_[static_cast<std::size_t>(row)];
-  for (std::size_t s = 0; s < cols.size(); ++s) {
-    if (cols[s] == col) {
-      return w_row_vals_[static_cast<std::size_t>(row)][s];
+void LuFactorization::load_working_matrix(
+    const std::vector<BasisColumn>& columns) {
+  const auto ms = static_cast<std::size_t>(m_);
+  w_row_cols_.assign(ms, {});
+  w_row_vals_.assign(ms, {});
+  w_row_cpos_.assign(ms, {});
+  w_cols_.assign(ms, {});
+  w_col_active_.assign(ms, 1);
+  col_best_.resize(ms);
+  col_stale_.assign(ms, 1);
+  for (int p = 0; p < m_; ++p) {
+    const BasisColumn& column = columns[static_cast<std::size_t>(p)];
+    auto& col = w_cols_[static_cast<std::size_t>(p)];
+    for (int k = 0; k < column.size; ++k) {
+      const int row = column.rows[k];
+      const double value = column.values[k];
+      if (value == 0.0) continue;
+      const auto rs = static_cast<std::size_t>(row);
+      col.push_back({row, static_cast<int>(w_row_cols_[rs].size())});
+      w_row_cpos_[rs].push_back(static_cast<int>(col.size()) - 1);
+      w_row_cols_[rs].push_back(p);
+      w_row_vals_[rs].push_back(value);
     }
   }
-  return 0.0;
+
+  words_ = (m_ + 63) / 64;
+  count_hist_.assign(ms + 1, 0);
+  buckets_.assign(static_cast<std::size_t>(kBucketedCounts + 1) *
+                      static_cast<std::size_t>(words_),
+                  0);
+  for (int p = 0; p < m_; ++p) {
+    tally_column(
+        p, static_cast<int>(w_cols_[static_cast<std::size_t>(p)].size()),
+        true);
+  }
+  min_count_ = 0;
 }
 
-bool LuFactorization::select_pivot(int* pivot_row, int* pivot_col) const {
-  // Two passes: first over columns whose count is within 3 of the minimum
-  // (capped), then — only if nothing stable was found — over every active
-  // column. Markowitz cost (r-1)*(c-1) with threshold partial pivoting;
-  // ties prefer the larger pivot, then the lower column and row index, so
-  // the factorization is deterministic.
-  int min_count = std::numeric_limits<int>::max();
-  for (int j = 0; j < m_; ++j) {
-    if (!w_col_active_[static_cast<std::size_t>(j)]) continue;
-    const int count =
-        static_cast<int>(w_col_rows_[static_cast<std::size_t>(j)].size());
-    if (count == 0) return false;  // structurally singular
-    min_count = std::min(min_count, count);
-  }
-  if (min_count == std::numeric_limits<int>::max()) return false;
+void LuFactorization::tally_column(int col, int count, bool add) {
+  count_hist_[static_cast<std::size_t>(count)] += add ? 1 : -1;
+  if (count > kBucketedCounts) return;
+  std::uint64_t& word =
+      buckets_[static_cast<std::size_t>(count * words_ + col / 64)];
+  const std::uint64_t bit = std::uint64_t{1} << (col % 64);
+  word = add ? word | bit : word & ~bit;
+}
 
-  for (int pass = 0; pass < 2; ++pass) {
-    const int count_cap =
-        pass == 0 ? min_count + 3 : std::numeric_limits<int>::max();
-    long long best_cost = std::numeric_limits<long long>::max();
-    double best_mag = 0.0;
-    int best_row = -1, best_col = -1;
-    int scanned = 0;
-    for (int j = 0; j < m_ && (pass == 1 || scanned < kPivotCandidateCap);
-         ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      if (!w_col_active_[js]) continue;
-      const auto& rows = w_col_rows_[js];
-      const int col_count = static_cast<int>(rows.size());
-      if (col_count > count_cap) continue;
-      ++scanned;
-      double col_max = 0.0;
-      for (const int i : rows) {
-        col_max = std::max(col_max, std::abs(w_entry(i, j)));
+void LuFactorization::change_count(int col, int from, int to) {
+  tally_column(col, from, false);
+  tally_column(col, to, true);
+  min_count_ = std::min(min_count_, to);
+}
+
+void LuFactorization::erase_col_entry(int col, int k) {
+  auto& entries = w_cols_[static_cast<std::size_t>(col)];
+  const int count = static_cast<int>(entries.size());
+  if (k != count - 1) {
+    const ColEntry moved = entries.back();
+    entries[static_cast<std::size_t>(k)] = moved;
+    w_row_cpos_[static_cast<std::size_t>(moved.row)]
+               [static_cast<std::size_t>(moved.slot)] = k;
+  }
+  entries.pop_back();
+  change_count(col, count, count - 1);
+  col_stale_[static_cast<std::size_t>(col)] = 1;
+}
+
+LuFactorization::PivotChoice LuFactorization::best_in_column(int col) const {
+  // Threshold partial pivoting: an entry qualifies when it reaches
+  // pivot_tolerance times the column's largest magnitude.
+  PivotChoice best;
+  const auto& entries = w_cols_[static_cast<std::size_t>(col)];
+  const auto value_of = [this](const ColEntry& e) {
+    return w_row_vals_[static_cast<std::size_t>(e.row)]
+                      [static_cast<std::size_t>(e.slot)];
+  };
+  const int col_count = static_cast<int>(entries.size());
+  double col_max = 0.0;
+  for (const ColEntry& e : entries) {
+    col_max = std::max(col_max, std::abs(value_of(e)));
+  }
+  if (col_max <= options_.singular_tolerance) return best;
+  const double acceptable = options_.pivot_tolerance * col_max;
+  for (const ColEntry& e : entries) {
+    const double v = value_of(e);
+    const double mag = std::abs(v);
+    if (mag < acceptable || mag <= options_.singular_tolerance) continue;
+    const int row_count = static_cast<int>(
+        w_row_cols_[static_cast<std::size_t>(e.row)].size());
+    const PivotChoice candidate{static_cast<long long>(row_count - 1) *
+                                    static_cast<long long>(col_count - 1),
+                                mag, v, e.row, col};
+    if (candidate.precedes(best)) best = candidate;
+  }
+  return best;
+}
+
+void LuFactorization::consider_column(int col, PivotChoice* best) {
+  const auto js = static_cast<std::size_t>(col);
+  if (col_stale_[js]) {
+    col_best_[js] = best_in_column(col);
+    col_stale_[js] = 0;
+  }
+  const PivotChoice& own = col_best_[js];
+  if (own.row >= 0 && own.precedes(*best)) *best = own;
+}
+
+bool LuFactorization::select_pivot(PivotChoice* choice) {
+  // Smallest active count: an empty active column is structurally
+  // singular; otherwise walk the lower bound up to the first live count.
+  if (count_hist_[0] > 0) return false;
+  while (min_count_ <= m_ &&
+         count_hist_[static_cast<std::size_t>(min_count_)] == 0) {
+    ++min_count_;
+  }
+  if (min_count_ > m_) return false;
+
+  // First pass: the first kPivotCandidateCap active columns, in index order,
+  // whose count is within kCountSlack of the minimum. The OR of the count
+  // bitsets over that range lists exactly those columns, word by word.
+  PivotChoice best;
+  const int count_cap = min_count_ + kCountSlack;
+  int scanned = 0;
+  if (count_cap <= kBucketedCounts) {
+    for (int w = 0; w < words_ && scanned < kPivotCandidateCap; ++w) {
+      std::uint64_t bits = 0;
+      for (int c = min_count_; c <= count_cap; ++c) {
+        bits |= buckets_[static_cast<std::size_t>(c * words_ + w)];
       }
-      if (col_max <= options_.singular_tolerance) continue;
-      const double acceptable = options_.pivot_tolerance * col_max;
-      for (const int i : rows) {
-        const double v = w_entry(i, j);
-        const double mag = std::abs(v);
-        if (mag < acceptable || mag <= options_.singular_tolerance) continue;
-        const int row_count =
-            static_cast<int>(w_row_cols_[static_cast<std::size_t>(i)].size());
-        const long long cost = static_cast<long long>(row_count - 1) *
-                               static_cast<long long>(col_count - 1);
-        const bool better =
-            cost < best_cost ||
-            (cost == best_cost &&
-             (mag > best_mag ||
-              (mag == best_mag &&
-               (j < best_col || (j == best_col && i < best_row)))));
-        if (better) {
-          best_cost = cost;
-          best_mag = mag;
-          best_row = i;
-          best_col = j;
-        }
+      for (; bits != 0 && scanned < kPivotCandidateCap; bits &= bits - 1) {
+        ++scanned;
+        consider_column(w * 64 + std::countr_zero(bits), &best);
       }
     }
-    if (best_row >= 0) {
-      *pivot_row = best_row;
-      *pivot_col = best_col;
-      return true;
+  } else {
+    for (int j = 0; j < m_ && scanned < kPivotCandidateCap; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      if (!w_col_active_[js] ||
+          static_cast<int>(w_cols_[js].size()) > count_cap) {
+        continue;
+      }
+      ++scanned;
+      consider_column(j, &best);
     }
   }
-  return false;
+  // Second pass, only if nothing stable was found: every active column.
+  if (best.row < 0) {
+    for (int j = 0; j < m_; ++j) {
+      if (w_col_active_[static_cast<std::size_t>(j)]) {
+        consider_column(j, &best);
+      }
+    }
+  }
+  if (best.row < 0) return false;
+  *choice = best;
+  return true;
 }
 
 bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) {
   m_ = m;
   valid_ = false;
   clear_factor();
-  const auto ms = static_cast<std::size_t>(m);
+  load_working_matrix(columns);
 
-  // Load the working matrix row-wise with a column-pattern transpose.
-  w_row_cols_.assign(ms, {});
-  w_row_vals_.assign(ms, {});
-  w_col_rows_.assign(ms, {});
-  w_row_active_.assign(ms, 1);
-  w_col_active_.assign(ms, 1);
-  for (int p = 0; p < m; ++p) {
-    const BasisColumn& column = columns[static_cast<std::size_t>(p)];
-    for (int k = 0; k < column.size; ++k) {
-      const int row = column.rows[k];
-      const double value = column.values[k];
-      if (value == 0.0) continue;
-      w_row_cols_[static_cast<std::size_t>(row)].push_back(p);
-      w_row_vals_[static_cast<std::size_t>(row)].push_back(value);
-      w_col_rows_[static_cast<std::size_t>(p)].push_back(row);
-    }
-  }
-
-  std::vector<int> targets;  // col-pattern copy (patterns mutate below)
   for (int step = 0; step < m; ++step) {
-    int pivot_row = -1, pivot_col = -1;
-    if (!select_pivot(&pivot_row, &pivot_col)) return false;
+    PivotChoice choice;
+    if (!select_pivot(&choice)) return false;
+    const int pivot_row = choice.row;
+    const int pivot_col = choice.col;
+    const double pivot = choice.value;
     const auto rs = static_cast<std::size_t>(pivot_row);
     const auto cs = static_cast<std::size_t>(pivot_col);
-    const double pivot = w_entry(pivot_row, pivot_col);
 
     row_of_order_[static_cast<std::size_t>(step)] = pivot_row;
     col_of_order_[static_cast<std::size_t>(step)] = pivot_col;
@@ -160,66 +226,78 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
     order_of_col_[cs] = step;
     diag_[rs] = pivot;
 
-    // Scatter the pivot row (minus the pivot entry) for the combines.
-    ++epoch_;
-    for (std::size_t s = 0; s < w_row_cols_[rs].size(); ++s) {
-      const int c2 = w_row_cols_[rs][s];
-      if (c2 == pivot_col) continue;
-      acc_[static_cast<std::size_t>(c2)] = w_row_vals_[rs][s];
-      stamp_[static_cast<std::size_t>(c2)] = epoch_;
+    // The rows to eliminate, with their pivot-column entries, in row order.
+    targets_.clear();
+    for (const ColEntry& e : w_cols_[cs]) {
+      if (e.row == pivot_row) continue;
+      targets_.emplace_back(e.row,
+                            w_row_vals_[static_cast<std::size_t>(e.row)]
+                                       [static_cast<std::size_t>(e.slot)]);
     }
+    std::sort(targets_.begin(), targets_.end());
 
-    targets.clear();
-    for (const int i : w_col_rows_[cs]) {
-      if (i != pivot_row) targets.push_back(i);
-    }
-    std::sort(targets.begin(), targets.end());
-
+    auto& prow_cols = w_row_cols_[rs];
+    auto& prow_vals = w_row_vals_[rs];
+    auto& prow_cpos = w_row_cpos_[rs];
     const int l_start = static_cast<int>(l_rows_.size());
-    for (const int i : targets) {
+    for (const auto& [i, entry] : targets_) {
       const auto is = static_cast<std::size_t>(i);
-      const double mult = w_entry(i, pivot_col) / pivot;
+      auto& cols = w_row_cols_[is];
+      auto& vals = w_row_vals_[is];
+      auto& cpos = w_row_cpos_[is];
+      const double mult = entry / pivot;
       if (std::abs(mult) > options_.drop_tolerance) {
         l_rows_.push_back(i);
         l_vals_.push_back(mult);
         // Combine: row_i -= mult * (active part of the pivot row).
         ++pos_epoch_;
-        for (std::size_t s = 0; s < w_row_cols_[is].size(); ++s) {
-          const auto c2 = static_cast<std::size_t>(w_row_cols_[is][s]);
+        for (std::size_t s = 0; s < cols.size(); ++s) {
+          const auto c2 = static_cast<std::size_t>(cols[s]);
           pos_[c2] = static_cast<int>(s);
           pos_stamp_[c2] = pos_epoch_;
         }
-        for (std::size_t s = 0; s < w_row_cols_[rs].size(); ++s) {
-          const int c2 = w_row_cols_[rs][s];
+        for (std::size_t s = 0; s < prow_cols.size(); ++s) {
+          const int c2 = prow_cols[s];
           if (c2 == pivot_col) continue;
           const auto c2s = static_cast<std::size_t>(c2);
-          const double delta = mult * w_row_vals_[rs][s];
+          const double delta = mult * prow_vals[s];
           if (pos_stamp_[c2s] == pos_epoch_) {
-            w_row_vals_[is][static_cast<std::size_t>(pos_[c2s])] -= delta;
+            vals[static_cast<std::size_t>(pos_[c2s])] -= delta;
           } else if (std::abs(delta) > options_.drop_tolerance) {
-            w_row_cols_[is].push_back(c2);
-            w_row_vals_[is].push_back(-delta);
-            w_col_rows_[c2s].push_back(i);
+            // Fill: link the new entry into both patterns.
+            auto& entries = w_cols_[c2s];
+            const int count = static_cast<int>(entries.size());
+            entries.push_back({i, static_cast<int>(cols.size())});
+            cpos.push_back(count);
+            cols.push_back(c2);
+            vals.push_back(-delta);
+            change_count(c2, count, count + 1);
           }
         }
       }
       // Compress row i: drop the pivot-column entry and anything tiny.
       std::size_t out = 0;
-      for (std::size_t s = 0; s < w_row_cols_[is].size(); ++s) {
-        const int c2 = w_row_cols_[is][s];
-        const double v = w_row_vals_[is][s];
+      for (std::size_t s = 0; s < cols.size(); ++s) {
+        const int c2 = cols[s];
         if (c2 == pivot_col) continue;  // col pattern cleared wholesale below
+        const double v = vals[s];
+        const int k = cpos[s];
         if (std::abs(v) <= options_.drop_tolerance) {
-          auto& rows = w_col_rows_[static_cast<std::size_t>(c2)];
-          rows.erase(std::find(rows.begin(), rows.end(), i));
+          erase_col_entry(c2, k);
           continue;
         }
-        w_row_cols_[is][out] = c2;
-        w_row_vals_[is][out] = v;
+        cols[out] = c2;
+        vals[out] = v;
+        cpos[out] = k;
+        // The entry's value or its row's count may have moved.
+        col_stale_[static_cast<std::size_t>(c2)] = 1;
+        w_cols_[static_cast<std::size_t>(c2)][static_cast<std::size_t>(k)]
+            .slot = static_cast<int>(out);
         ++out;
       }
-      w_row_cols_[is].resize(out);
-      w_row_vals_[is].resize(out);
+      cols.resize(out);
+      vals.resize(out);
+      cpos.resize(out);
     }
     if (static_cast<int>(l_rows_.size()) > l_start) {
       lcols_.push_back(
@@ -228,19 +306,21 @@ bool LuFactorization::factorize(int m, const std::vector<BasisColumn>& columns) 
 
     // Freeze the pivot row: its remaining entries become U row pivot_row.
     std::size_t out = 0;
-    for (std::size_t s = 0; s < w_row_cols_[rs].size(); ++s) {
-      const int c2 = w_row_cols_[rs][s];
+    for (std::size_t s = 0; s < prow_cols.size(); ++s) {
+      const int c2 = prow_cols[s];
       if (c2 == pivot_col) continue;
-      auto& rows = w_col_rows_[static_cast<std::size_t>(c2)];
-      rows.erase(std::find(rows.begin(), rows.end(), pivot_row));
-      w_row_cols_[rs][out] = c2;
-      w_row_vals_[rs][out] = w_row_vals_[rs][s];
+      erase_col_entry(c2, prow_cpos[s]);
+      prow_cols[out] = c2;
+      prow_vals[out] = prow_vals[s];
       ++out;
     }
-    w_row_cols_[rs].resize(out);
-    w_row_vals_[rs].resize(out);
-    w_col_rows_[cs].clear();
-    w_row_active_[rs] = 0;
+    prow_cols.resize(out);
+    prow_vals.resize(out);
+    prow_cpos.clear();
+
+    // Retire the pivot column.
+    tally_column(pivot_col, static_cast<int>(w_cols_[cs].size()), false);
+    w_cols_[cs].clear();
     w_col_active_[cs] = 0;
   }
 

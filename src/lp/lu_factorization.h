@@ -10,6 +10,27 @@
 // file does. Appending a row (a cut with its slack taking the new basis
 // position) is one U^T solve plus one row eta — no refactorization.
 //
+// Pivot search. Each elimination step takes the smallest active column
+// count c_min (an empty active column means singular), then examines the
+// first 64 active columns in index order whose count is at most c_min + 3,
+// picking the lowest Markowitz cost (r-1)(c-1) among entries that pass
+// threshold partial pivoting; ties go to the larger magnitude, then the
+// lower column, then the lower row. Only when none of those columns holds a
+// usable entry does a second pass consider every active column. No step
+// scans all m columns to find its candidates: a histogram of active column
+// counts gives c_min, and per-count column bitsets (counts up to
+// kBucketedCounts; past that the first pass scans) OR-ed over
+// c_min..c_min+3 and walked with countr_zero list exactly the index-ordered
+// candidates. Both are updated wherever a column pattern changes: fill,
+// drop, freezing the pivot row, retiring the pivot column. Each column
+// caches its own best entry until its pattern or the count of one of its
+// rows changes, and every working entry is linked both ways (its slot in
+// the row, its index in the column), so reading a value is O(1) and column
+// removal is a swap with the last entry. Row storage keeps its order, so U,
+// L and every FTRAN/BTRAN sum come out exactly as with a plain full-scan
+// search; tests/lu_update_test.cpp keeps that scan as the oracle for the
+// pivot sequence (pivot_rows()/pivot_cols()) and the solves.
+//
 // The class is deliberately standalone (columns come in as index/value
 // views, vectors go in and out as dense arrays) so the differential fuzz
 // harness in tests/lu_update_test.cpp can drive it against a dense solver
@@ -22,6 +43,9 @@
 #ifndef FPVA_LP_LU_FACTORIZATION_H
 #define FPVA_LP_LU_FACTORIZATION_H
 
+#include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 namespace fpva::lp {
@@ -56,6 +80,11 @@ class LuFactorization {
     /// fill_ratio * (fresh factor nonzeros) + dimension().
     double fill_ratio = 3.0;
   };
+
+  /// Column counts up to this value are kept in per-count bitsets by the
+  /// pivot search; when the first pass's count range reaches past it, that
+  /// pass scans the columns instead.
+  static constexpr int kBucketedCounts = 32;
 
   LuFactorization() = default;
   explicit LuFactorization(Options options) : options_(options) {}
@@ -98,6 +127,12 @@ class LuFactorization {
   int updates_since_factor() const { return updates_; }
   long fill() const { return nnz_; }
   long factor_fill() const { return factor_nnz_; }
+
+  /// Pivot order: the k-th pivot pairs row pivot_rows()[k] with basis
+  /// position pivot_cols()[k]. Right after factorize() this is the
+  /// elimination sequence; update() rotates it and add_row() extends it.
+  const std::vector<int>& pivot_rows() const { return row_of_order_; }
+  const std::vector<int>& pivot_cols() const { return col_of_order_; }
 
  private:
   /// Elementary column operator from the elimination: subtracts multiples
@@ -150,11 +185,54 @@ class LuFactorization {
   mutable std::vector<int> spike_rows_;
   mutable bool spike_valid_ = false;
 
-  // Factorization working matrix (members to reuse allocations).
+  /// A pivot candidate (or the best one so far) of the Markowitz search.
+  struct PivotChoice {
+    long long cost = std::numeric_limits<long long>::max();
+    double magnitude = 0.0;
+    double value = 0.0;
+    int row = -1;
+    int col = -1;
+
+    /// The search order: lower cost (r-1)*(c-1), then larger magnitude,
+    /// then lower column, then lower row. It is total over distinct
+    /// entries, so the best of per-column bests is the overall best.
+    bool precedes(const PivotChoice& other) const {
+      return cost < other.cost ||
+             (cost == other.cost &&
+              (magnitude > other.magnitude ||
+               (magnitude == other.magnitude &&
+                (col < other.col || (col == other.col && row < other.row)))));
+    }
+  };
+
+  /// One entry of a working column: its row and its slot in that row.
+  struct ColEntry {
+    int row = 0;
+    int slot = 0;
+  };
+
+  // Factorization working matrix (members to reuse allocations). Entries
+  // are linked both ways: w_row_cpos_[i][s] is where row i sits in the
+  // list of column w_row_cols_[i][s], and each column entry holds its
+  // row's slot.
   std::vector<std::vector<int>> w_row_cols_;
   std::vector<std::vector<double>> w_row_vals_;
-  std::vector<std::vector<int>> w_col_rows_;
-  std::vector<char> w_row_active_, w_col_active_;
+  std::vector<std::vector<int>> w_row_cpos_;
+  std::vector<std::vector<ColEntry>> w_cols_;
+  std::vector<char> w_col_active_;
+  std::vector<std::pair<int, double>> targets_;  ///< pivot-column entries
+
+  // Pivot-search state: active columns per count, and for counts up to
+  // kBucketedCounts a column bitset per count (count-major, words_ words
+  // each). min_count_ is a lower bound on the smallest active count.
+  std::vector<int> count_hist_;
+  std::vector<std::uint64_t> buckets_;
+  int words_ = 0;
+  int min_count_ = 0;
+  // Each column's own best candidate, recomputed only when col_stale_ says
+  // the column's entries or the count of one of its rows changed.
+  std::vector<PivotChoice> col_best_;
+  std::vector<char> col_stale_;
 
   mutable std::vector<double> work_;   ///< ftran/btran solve scratch
   mutable std::vector<double> work2_;  ///< second solve scratch
@@ -164,8 +242,13 @@ class LuFactorization {
   std::vector<int> pos_, pos_stamp_;   ///< row-slot index scratch
   int pos_epoch_ = 0;
 
-  bool select_pivot(int* pivot_row, int* pivot_col) const;
-  double w_entry(int row, int col) const;
+  void load_working_matrix(const std::vector<BasisColumn>& columns);
+  bool select_pivot(PivotChoice* choice);
+  PivotChoice best_in_column(int col) const;
+  void consider_column(int col, PivotChoice* best);
+  void tally_column(int col, int count, bool add);
+  void change_count(int col, int from, int to);
+  void erase_col_entry(int col, int k);
 };
 
 }  // namespace fpva::lp

@@ -14,18 +14,12 @@
 #include "common/failpoint.h"
 #include "core/cert_store.h"
 #include "grid/presets.h"
+#include "scoped_temp_dir.h"
 
 namespace fpva::core {
 namespace {
 
-/// Fresh store directory per test, under the ctest working directory.
-std::string fresh_dir(const std::string& name) {
-  const std::string dir =
-      "cert_store_test_" + name + "_" + std::to_string(::getpid());
-  std::string command = "rm -rf " + dir;
-  [[maybe_unused]] const int rc = std::system(command.c_str());
-  return dir;
-}
+using test_support::ScopedTempDir;
 
 StageRecord sample_record() {
   StageRecord record;
@@ -81,7 +75,8 @@ std::string entry_file(const CertStore& store, const std::string& key,
 }
 
 TEST(CertStoreTest, RoundTripsARecordBitExactly) {
-  CertStore store(fresh_dir("roundtrip"));
+  const ScopedTempDir dir("cert_store_test_roundtrip");
+  CertStore store(dir.path());
   ASSERT_TRUE(store.enabled());
   const StageRecord record = sample_record();
   ASSERT_TRUE(store.save("deadbeef", 3, record));
@@ -102,7 +97,8 @@ TEST(CertStoreTest, KeySeparatesArraysAndKinds) {
 }
 
 TEST(CertStoreTest, CorruptedEntryIsQuarantinedAndMissed) {
-  CertStore store(fresh_dir("corrupt"));
+  const ScopedTempDir dir("cert_store_test_corrupt");
+  CertStore store(dir.path());
   ASSERT_TRUE(store.save("deadbeef", 2, sample_record()));
   const std::string path = entry_file(store, "deadbeef", 2);
   {
@@ -121,7 +117,8 @@ TEST(CertStoreTest, CorruptedEntryIsQuarantinedAndMissed) {
 }
 
 TEST(CertStoreTest, TruncatedEntryIsQuarantined) {
-  CertStore store(fresh_dir("truncated"));
+  const ScopedTempDir dir("cert_store_test_truncated");
+  CertStore store(dir.path());
   ASSERT_TRUE(store.save("deadbeef", 2, sample_record()));
   const std::string path = entry_file(store, "deadbeef", 2);
   ASSERT_EQ(::truncate(path.c_str(), 40), 0);  // cut mid-payload
@@ -130,7 +127,8 @@ TEST(CertStoreTest, TruncatedEntryIsQuarantined) {
 }
 
 TEST(CertStoreTest, VersionMismatchIsAPlainMiss) {
-  CertStore store(fresh_dir("version"));
+  const ScopedTempDir dir("cert_store_test_version");
+  CertStore store(dir.path());
   ASSERT_TRUE(store.save("deadbeef", 2, sample_record()));
   const std::string path = entry_file(store, "deadbeef", 2);
   std::string text;
@@ -152,7 +150,8 @@ TEST(CertStoreTest, VersionMismatchIsAPlainMiss) {
 }
 
 TEST(CertStoreTest, ConcurrentWritersLastWriterWinsNoTornReads) {
-  CertStore store(fresh_dir("concurrent"));
+  const ScopedTempDir dir("cert_store_test_concurrent");
+  CertStore store(dir.path());
   ASSERT_TRUE(store.enabled());
   // Hammer one key from several threads while a reader polls: every load
   // must parse as a valid record (atomic rename => never a torn file).
@@ -198,7 +197,8 @@ TEST(CertStoreTest, UnusableDirectoryDegradesToNoPersistence) {
   // A path that exists as a *file* can never become a store directory —
   // the portable stand-in for a read-only filesystem (chmod is useless
   // under root, which CI containers run as).
-  const std::string path = fresh_dir("unusable");
+  const ScopedTempDir temp("cert_store_test_unusable");
+  const std::string& path = temp.path();
   {
     std::ofstream file(path);
     file << "in the way";
@@ -207,7 +207,6 @@ TEST(CertStoreTest, UnusableDirectoryDegradesToNoPersistence) {
   EXPECT_FALSE(store.enabled());
   EXPECT_FALSE(store.save("deadbeef", 1, sample_record()));
   EXPECT_FALSE(store.load("deadbeef", 1).has_value());
-  std::remove(path.c_str());
 
   // Same degrade when the *parent* is missing (mkdir fails).
   CertStore nested("no_such_parent_dir/store");
@@ -219,7 +218,8 @@ TEST(CertStoreTest, InjectedIoErrorsFailTheSaveNotTheEntry) {
   if (!common::failpoint::kFailpointsEnabled) {
     GTEST_SKIP() << "built without FPVA_FAILPOINTS";
   }
-  CertStore store(fresh_dir("failpoints"));
+  const ScopedTempDir dir("cert_store_test_failpoints");
+  CertStore store(dir.path());
   ASSERT_TRUE(store.save("deadbeef", 1, sample_record()));  // good baseline
 
   using common::failpoint::Action;
@@ -247,7 +247,8 @@ TEST(CertStoreTest, CrashBetweenStoreOperationsLeavesStoreConsistent) {
   if (!common::failpoint::kFailpointsEnabled) {
     GTEST_SKIP() << "built without FPVA_FAILPOINTS";
   }
-  const std::string dir = fresh_dir("crash");
+  const ScopedTempDir temp("cert_store_test_crash");
+  const std::string& dir = temp.path();
   {
     CertStore store(dir);
     ASSERT_TRUE(store.save("deadbeef", 1, sample_record()));

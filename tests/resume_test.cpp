@@ -24,17 +24,12 @@
 #include "grid/presets.h"
 #include "ilp/branch_and_bound.h"
 #include "ilp/model.h"
+#include "scoped_temp_dir.h"
 
 namespace fpva::core {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir =
-      "resume_test_" + name + "_" + std::to_string(::getpid());
-  const std::string command = "rm -rf " + dir;
-  [[maybe_unused]] const int rc = std::system(command.c_str());
-  return dir;
-}
+using test_support::ScopedTempDir;
 
 ilp::Options fast_options() {
   ilp::Options options;
@@ -114,7 +109,8 @@ TEST(ResumeTest, SecondRunReVerifiesInsteadOfReSolving) {
                             fast_options());
   ASSERT_TRUE(baseline.has_value());
 
-  const std::string dir = fresh_dir("reverify");
+  const ScopedTempDir temp("resume_test_reverify");
+  const std::string& dir = temp.path();
   CertStore store(dir);
   const auto first = find_minimum_cut_sets(array, 1, 6, true, fast_options(),
                                            &store);
@@ -148,7 +144,8 @@ TEST(ResumeTest, SecondRunReVerifiesInsteadOfReSolving) {
 
 TEST(ResumeTest, FlowPathCampaignResumesToo) {
   const auto array = grid::full_array(2, 2);
-  const std::string dir = fresh_dir("paths");
+  const ScopedTempDir temp("resume_test_paths");
+  const std::string& dir = temp.path();
   CertStore store(dir);
   const auto first =
       find_minimum_flow_paths(array, 1, 4, fast_options(), &store);
@@ -167,7 +164,8 @@ TEST(ResumeTest, FlowPathCampaignResumesToo) {
 
 TEST(ResumeTest, CorruptedEntryIsQuarantinedAndReSolved) {
   const auto array = grid::full_array(2, 2);
-  const std::string dir = fresh_dir("corrupt");
+  const ScopedTempDir temp("resume_test_corrupt");
+  const std::string& dir = temp.path();
   {
     CertStore store(dir);
     ASSERT_TRUE(find_minimum_cut_sets(array, 1, 4, true, fast_options(),
@@ -201,7 +199,8 @@ TEST(ResumeTest, CorruptedEntryIsQuarantinedAndReSolved) {
 
 TEST(ResumeTest, ConfigMismatchDegradesToLiveSolve) {
   const auto array = grid::full_array(2, 2);
-  const std::string dir = fresh_dir("config");
+  const ScopedTempDir temp("resume_test_config");
+  const std::string& dir = temp.path();
   const std::string key = CertStore::key_for(array, "cut+mask");
   std::string original_fp;
   {
@@ -235,7 +234,8 @@ TEST(ResumeTest, DeadlineCheckpointsAndResumeMatchesBaseline) {
       find_minimum_cut_sets(array, 1, 6, true, fast_options());
   ASSERT_TRUE(baseline.has_value());
 
-  const std::string dir = fresh_dir("deadline");
+  const ScopedTempDir temp("resume_test_deadline");
+  const std::string& dir = temp.path();
   // Walk the deadline up until the campaign survives it; every truncated
   // attempt must have checkpointed (complete stages and/or a partial
   // anytime certificate) so that later attempts start further along.
@@ -279,8 +279,8 @@ TEST(ResumeTest, KillResumeDifferentialMatchesUninterruptedRun) {
   // far the killed run got, the resumed campaign must converge to the
   // baseline bit-for-bit (up to wall-clock).
   for (int kill_at : {0, 1, 2, 3}) {
-    const std::string dir =
-        fresh_dir("kill" + std::to_string(kill_at));
+    const ScopedTempDir temp("resume_test_kill" + std::to_string(kill_at));
+    const std::string& dir = temp.path();
     const pid_t child = ::fork();
     ASSERT_GE(child, 0);
     if (child == 0) {
