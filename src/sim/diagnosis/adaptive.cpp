@@ -77,7 +77,7 @@ AdaptiveDiagnoser::AdaptiveDiagnoser(const grid::ValveArray& array,
 }
 
 int AdaptiveDiagnoser::pick_test(const std::vector<char>& used,
-                                 const std::vector<int>& surviving,
+                                 std::span<const int> surviving,
                                  bool fault_free_alive) const {
   if (options_.policy == Policy::kStaticOrder) {
     for (std::size_t v = 0; v < vectors_.size(); ++v) {
@@ -127,20 +127,38 @@ int AdaptiveDiagnoser::pick_test(const std::vector<char>& used,
 
 SessionResult AdaptiveDiagnoser::run(
     const std::function<Outcome(const TestVector&)>& respond) {
+  constexpr int kNoNode = DecisionDiagramCache::kNoNode;
   SessionResult result;
   const int hypotheses = static_cast<int>(universe_.size());
-  std::vector<int> surviving(static_cast<std::size_t>(hypotheses));
-  std::iota(surviving.begin(), surviving.end(), 0);
+  const bool cached = options_.use_dd_cache;
+  // The state is `survivors` fault-set hypotheses plus the fault-free flag.
+  // With the cache on it lives in DD node `node`, whose key is the surviving
+  // indices followed by the sentinel |universe| while the fault-free
+  // hypothesis is alive (the choice depends on it), and a known outcome edge
+  // moves the session without touching the list. `surviving` holds the list
+  // only while there is no node: cache off, or the root not interned yet.
+  int node = cached ? root_ : kNoNode;
+  int survivors = hypotheses;
   bool fault_free_alive = options_.include_fault_free;
+  std::vector<int> surviving;
+  if (node == kNoNode) {
+    surviving.resize(static_cast<std::size_t>(hypotheses));
+    std::iota(surviving.begin(), surviving.end(), 0);
+  }
   std::vector<char> used(vectors_.size(), 0);
   std::vector<std::uint64_t> applied_words((vectors_.size() + 63) / 64, 0);
 
-  // DD-cache key: surviving indices plus the sentinel |universe| while the
-  // fault-free hypothesis is alive (the choice depends on it).
-  std::vector<int> key;
-  const auto make_key = [&] {
-    key = surviving;
-    if (fault_free_alive) key.push_back(hypotheses);
+  // The current surviving list; a node's view is valid until the next
+  // intern.
+  const auto current = [&]() -> std::span<const int> {
+    if (node == kNoNode) return surviving;
+    return cache_.surviving(node).first(static_cast<std::size_t>(survivors));
+  };
+  const auto intern = [&](std::vector<int>& list) {
+    if (fault_free_alive) list.push_back(hypotheses);
+    const int id = cache_.intern(applied_words, list);
+    if (fault_free_alive) list.pop_back();
+    return id;
   };
 
   while (true) {
@@ -152,27 +170,21 @@ SessionResult AdaptiveDiagnoser::run(
         result.tests_applied() >= options_.max_tests) {
       break;
     }
-    const int alive =
-        static_cast<int>(surviving.size()) + (fault_free_alive ? 1 : 0);
+    const int alive = survivors + (fault_free_alive ? 1 : 0);
     if (options_.stop_when_isolated && alive <= 1) break;
 
-    int node = DecisionDiagramCache::kNoNode;
-    int test = -1;
-    bool from_cache = false;
-    if (options_.use_dd_cache) {
-      make_key();
-      node = cache_.intern(applied_words, key);
-      test = cache_.chosen_test(node);
-      if (test != DecisionDiagramCache::kNoTest) {
-        from_cache = true;
-        ++result.cache_hits;
-      } else {
-        test = pick_test(used, surviving, fault_free_alive);
+    if (cached && node == kNoNode) node = root_ = intern(surviving);
+    int test =
+        cached ? cache_.chosen_test(node) : DecisionDiagramCache::kNoTest;
+    const bool from_cache = test != DecisionDiagramCache::kNoTest;
+    if (from_cache) {
+      ++result.cache_hits;
+    } else {
+      test = pick_test(used, current(), fault_free_alive);
+      if (cached) {
         ++result.cache_misses;
         if (test >= 0) cache_.set_chosen_test(node, test);
       }
-    } else {
-      test = pick_test(used, surviving, fault_free_alive);
     }
     if (test < 0) break;  // nothing left that could split the hypotheses
 
@@ -185,35 +197,50 @@ SessionResult AdaptiveDiagnoser::run(
     applied.vector_index = test;
     applied.outcome = outcome;
     applied.from_cache = from_cache;
-    applied.surviving_before = static_cast<int>(surviving.size());
-    const Outcome* row = outcomes_.data() +
-                         static_cast<std::size_t>(test) *
-                             static_cast<std::size_t>(hypotheses);
-    std::vector<int> next;
-    next.reserve(surviving.size());
-    for (const int h : surviving) {
-      if (row[h] == outcome) next.push_back(h);
+    applied.surviving_before = survivors;
+    const bool fault_free_before = fault_free_alive;
+    const int child = cached ? cache_.child(node, outcome) : kNoNode;
+    if (child != kNoNode) {
+      // Replayed edge: the child's key already is the filtered state.
+      const std::span<const int> key = cache_.surviving(child);
+      fault_free_alive = !key.empty() && key.back() == hypotheses;
+      survivors = static_cast<int>(key.size()) - (fault_free_alive ? 1 : 0);
+      node = child;
+    } else {
+      const Outcome* row = outcomes_.data() +
+                           static_cast<std::size_t>(test) *
+                               static_cast<std::size_t>(hypotheses);
+      std::vector<int> next;
+      next.reserve(static_cast<std::size_t>(survivors));
+      for (const int h : current()) {
+        if (row[h] == outcome) next.push_back(h);
+      }
+      survivors = static_cast<int>(next.size());
+      fault_free_alive = fault_free_alive &&
+                         expected_[static_cast<std::size_t>(test)] == outcome;
+      if (cached) {
+        const int id = intern(next);
+        cache_.link_child(node, outcome, id);
+        node = id;
+      } else {
+        surviving.swap(next);
+      }
     }
-    result.eliminated +=
-        static_cast<long>(surviving.size()) - static_cast<long>(next.size());
-    surviving.swap(next);
-    if (fault_free_alive &&
-        expected_[static_cast<std::size_t>(test)] != outcome) {
-      fault_free_alive = false;
-      ++result.eliminated;
-    }
-    applied.surviving_after = static_cast<int>(surviving.size());
+    result.eliminated += applied.surviving_before - survivors +
+                         (fault_free_before && !fault_free_alive ? 1 : 0);
+    applied.surviving_after = survivors;
     result.applied.push_back(applied);
-
-    if (options_.use_dd_cache) {
-      make_key();
-      const int child = cache_.intern(applied_words, key);
-      cache_.link_child(node, outcome, child);
-    }
   }
 
-  result.surviving = std::move(surviving);
+  if (node == kNoNode) {
+    result.surviving = std::move(surviving);
+  } else {
+    const std::span<const int> list = current();
+    result.surviving.assign(list.begin(), list.end());
+  }
   result.fault_free_consistent = fault_free_alive;
+  // Callers keep many sessions; drop the push_back growth slack.
+  result.applied.shrink_to_fit();
   return result;
 }
 

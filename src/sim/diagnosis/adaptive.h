@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/stop.h"
@@ -44,10 +45,10 @@ enum class Policy : std::uint8_t {
 
 struct Options {
   Policy policy = Policy::kInfoGain;
-  /// Intern (applied, surviving) states in the decision-diagram cache and
-  /// replay stored decisions. Purely a speedup: the cached choice is the
-  /// same one pick_test would recompute, so results are bit-identical
-  /// either way (see SimOptionsToggleTest).
+  /// Intern (applied, surviving) states in the decision-diagram cache,
+  /// replay stored decisions and walk stored outcome edges. Purely a
+  /// speedup: the cached choice is the same one pick_test would recompute,
+  /// so results are bit-identical either way (see SimOptionsToggleTest).
   bool use_dd_cache = true;
   /// Stop as soon as at most one hypothesis survives. Off means "apply
   /// until nothing more can split" (or all vectors, for kStaticOrder).
@@ -124,8 +125,7 @@ class AdaptiveDiagnoser {
   /// split the surviving hypotheses any further (kStaticOrder instead
   /// walks on through the remaining vectors).
   int pick_test(const std::vector<char>& used,
-                const std::vector<int>& surviving,
-                bool fault_free_alive) const;
+                std::span<const int> surviving, bool fault_free_alive) const;
 
   const grid::ValveArray* array_;
   Simulator oracle_;  ///< scalar simulator behind run(truth)
@@ -137,6 +137,8 @@ class AdaptiveDiagnoser {
   std::vector<Outcome> outcomes_;
   std::vector<Outcome> expected_;  ///< fault-free outcome per vector
   DecisionDiagramCache cache_;
+  /// The empty-applied-set state, interned at the first test selection.
+  int root_ = DecisionDiagramCache::kNoNode;
   mutable std::vector<Outcome> scratch_outcomes_;  ///< pick_test scratch
 };
 

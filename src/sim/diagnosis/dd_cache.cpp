@@ -54,6 +54,12 @@ int DecisionDiagramCache::intern(
   return id;
 }
 
+std::span<const int> DecisionDiagramCache::surviving(int node) const {
+  common::check(node >= 0 && node < node_count(),
+                "DecisionDiagramCache: bad node id");
+  return nodes_[static_cast<std::size_t>(node)].surviving;
+}
+
 int DecisionDiagramCache::chosen_test(int node) const {
   common::check(node >= 0 && node < node_count(),
                 "DecisionDiagramCache: bad node id");

@@ -6,10 +6,12 @@
 // open hashing on a 64-bit key with exact key-material verification on
 // lookup, the hashed-node construction pattern of chuffed's MDD/opcache —
 // and stores the chosen test plus outcome-indexed edges to successor
-// states. A later session that walks into a known state replays the stored
-// decision instead of re-scoring every candidate vector, and the edge set
-// grown across sessions is exactly a decision diagram of the diagnosis
-// strategy.
+// states. The edge set grown across sessions is exactly a decision diagram
+// of the diagnosis strategy, and later sessions walk it: a state with a
+// stored test replays that decision instead of re-scoring every candidate
+// vector, and an outcome with a stored edge moves the session to the child
+// node by id. The child's key material is the filtered state, so a replayed
+// step costs O(1) — only a state seen for the first time is hashed.
 //
 // Determinism: nodes get ids in interning order and the bucket map is only
 // ever probed (never iterated), so nothing observable depends on hash
@@ -34,6 +36,10 @@ class DecisionDiagramCache {
   /// undecided node on first sight.
   int intern(std::span<const std::uint64_t> applied_words,
              std::span<const int> surviving);
+
+  /// The surviving key material `node` was interned with. Stays valid
+  /// until the next intern().
+  std::span<const int> surviving(int node) const;
 
   /// The test stored at `node`, or kNoTest while undecided.
   int chosen_test(int node) const;
