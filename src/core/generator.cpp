@@ -247,10 +247,8 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
       auto vector = to_test_vector(array, simulator, *cut,
                                    cat("cut ", out.cuts.size() + 1));
       const sim::TestVector just_added[] = {vector};
-      std::erase_if(remaining, [&](const sim::Fault& fault) {
-        const sim::Fault injected[] = {fault};
-        return simulator.any_detects(just_added, injected);
-      });
+      remaining =
+          single_fault_coverage(simulator, just_added, remaining).undetected;
       out.cuts.push_back(std::move(*cut));
       out.vectors.push_back(std::move(vector));
     }
@@ -303,10 +301,8 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
         vector.kind = sim::VectorKind::kControlLeak;
         if (simulator.detects(vector, injected)) {
           const sim::TestVector just_added[] = {vector};
-          std::erase_if(remaining, [&](const sim::Fault& pending) {
-            const sim::Fault probe[] = {pending};
-            return simulator.any_detects(just_added, probe);
-          });
+          remaining = single_fault_coverage(simulator, just_added, remaining)
+                          .undetected;
           leak_vectors.push_back(std::move(vector));
           detected = true;
         } else {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "common/check.h"
 
@@ -17,6 +18,61 @@ constexpr std::array<int, BatchSimulator::kLanes> identity_lanes() {
   return lanes;
 }
 constexpr auto kIdentityLanes = identity_lanes();
+
+/// The faults one lane injects.
+std::span<const Fault> faults_of(const FaultScenario& scenario) {
+  return scenario;
+}
+std::span<const Fault> faults_of(const Fault& fault) { return {&fault, 1}; }
+
+/// True when `faults` could possibly change the readings of `vector`: an
+/// exact monotonicity screen, not a heuristic. Faults that only close
+/// valves shrink the pressurized region, so they can only flip sinks whose
+/// expected reading is 1; faults that only open valves can only flip
+/// 0-expected sinks; a scenario changing no effective state at all reads
+/// exactly `expected`. Everything the screen rejects is provably
+/// undetected, so skipping its flood keeps results bit-identical.
+bool possibly_detectable(const TestVector& vector, bool has_one_expected,
+                         bool has_zero_expected,
+                         std::span<const Fault> faults) {
+  bool closes = false;
+  bool opens = false;
+  for (const Fault& fault : faults) {
+    const auto valve = static_cast<std::size_t>(fault.valve);
+    common::check(valve < vector.states.size() &&
+                      (fault.type != FaultType::kControlLeak ||
+                       static_cast<std::size_t>(fault.partner) <
+                           vector.states.size()),
+                  "BatchSimulator: fault on invalid valve");
+    switch (fault.type) {
+      case FaultType::kStuckAt0:
+        closes = closes || vector.states[valve];
+        break;
+      case FaultType::kStuckAt1:
+        opens = opens || !vector.states[valve];
+        break;
+      case FaultType::kControlLeak: {
+        const auto partner = static_cast<std::size_t>(fault.partner);
+        // The leak fires when either partner is actuated; it changes an
+        // effective state only if the other partner was commanded open.
+        if ((!vector.states[valve] || !vector.states[partner]) &&
+            (vector.states[valve] || vector.states[partner])) {
+          closes = true;
+        }
+        break;
+      }
+      case FaultType::kDegradedFlow:
+        // Weakening flow through a commanded-open valve only shrinks the
+        // meter-visible region (monotone decrease). On a commanded-closed
+        // valve it matters only if a stuck-at-1 in the same scenario opens
+        // the valve, and then the readings stay a superset of expected --
+        // covered by that fault's own `opens` contribution.
+        closes = closes || vector.states[valve];
+        break;
+    }
+  }
+  return (closes && has_one_expected) || (opens && has_zero_expected);
+}
 
 }  // namespace
 
@@ -35,8 +91,9 @@ BatchSimulator::LaneMask BatchSimulator::active_mask(std::size_t count) {
   return count == kLanes ? kAllLanes : (LaneMask{1} << count) - 1;
 }
 
+template <class Scenario>
 void BatchSimulator::resolve_open_lanes(const ValveStates& states,
-                                        std::span<const FaultScenario> pool,
+                                        std::span<const Scenario> pool,
                                         std::span<const int> lanes) const {
   common::check(static_cast<int>(states.size()) == array_->valve_count(),
                 "BatchSimulator: vector arity != valve count");
@@ -60,8 +117,8 @@ void BatchSimulator::resolve_open_lanes(const ValveStates& states,
   // leaks, then stuck-at-0 forces closed, then stuck-at-1 forces open.
   for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
     const LaneMask bit = LaneMask{1} << lane;
-    const FaultScenario& scenario =
-        pool[static_cast<std::size_t>(lanes[lane])];
+    const std::span<const Fault> scenario =
+        faults_of(pool[static_cast<std::size_t>(lanes[lane])]);
     for (const Fault& fault : scenario) {
       if (fault.type != FaultType::kControlLeak) continue;
       common::check(valid(fault.valve) && valid(fault.partner),
@@ -208,16 +265,9 @@ std::vector<BatchSimulator::LaneMask> BatchSimulator::readings(
   return result;
 }
 
-BatchSimulator::LaneMask BatchSimulator::detect_lanes(
-    const TestVector& vector,
-    std::span<const FaultScenario> scenarios) const {
-  return detect_lanes(vector, scenarios,
-                      std::span<const int>(kIdentityLanes.data(),
-                                           scenarios.size()));
-}
-
-BatchSimulator::LaneMask BatchSimulator::detect_lanes(
-    const TestVector& vector, std::span<const FaultScenario> pool,
+template <class Scenario>
+BatchSimulator::LaneMask BatchSimulator::detect_gathered(
+    const TestVector& vector, std::span<const Scenario> pool,
     std::span<const int> lanes) const {
   common::check(static_cast<int>(vector.expected.size()) == sink_count(),
                 "BatchSimulator: vector expected-arity != sink count");
@@ -233,16 +283,68 @@ BatchSimulator::LaneMask BatchSimulator::detect_lanes(
   return mismatch & active_mask(lanes.size());
 }
 
-BatchSimulator::LaneMask BatchSimulator::any_detect_lanes(
-    std::span<const TestVector> vectors,
+BatchSimulator::LaneMask BatchSimulator::detect_lanes(
+    const TestVector& vector,
     std::span<const FaultScenario> scenarios) const {
-  const LaneMask active = active_mask(scenarios.size());
-  LaneMask detected = 0;
-  for (const TestVector& vector : vectors) {
-    detected |= detect_lanes(vector, scenarios);
-    if (detected == active) break;
+  return detect_gathered(vector, scenarios,
+                         std::span<const int>(kIdentityLanes.data(),
+                                              scenarios.size()));
+}
+
+template <class Scenario>
+void BatchSimulator::drop_gathered(const TestVector& vector,
+                                   std::span<const Scenario> pool,
+                                   std::vector<int>& alive) const {
+  common::check(static_cast<int>(vector.states.size()) ==
+                        array_->valve_count() &&
+                    static_cast<int>(vector.expected.size()) == sink_count(),
+                "BatchSimulator: vector arity != valve or sink count");
+  bool has_one = false;
+  bool has_zero = false;
+  for (const bool expected : vector.expected) {
+    (expected ? has_one : has_zero) = true;
   }
-  return detected;
+  // Screened scenarios are gathered kLanes at a time; position[L] is where
+  // lane L's index sits in `alive`, so a detected lane is overwritten with
+  // a -1 tombstone and one erase pass keeps the survivors in order.
+  std::array<int, kLanes> lanes{};
+  std::array<std::size_t, kLanes> position{};
+  std::size_t count = 0;
+  bool dropped = false;
+  const auto flush = [&] {
+    LaneMask detected = detect_gathered(
+        vector, pool, std::span<const int>(lanes.data(), count));
+    dropped = dropped || detected != 0;
+    for (; detected != 0; detected &= detected - 1) {
+      alive[position[static_cast<std::size_t>(std::countr_zero(detected))]] =
+          -1;
+    }
+    count = 0;
+  };
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    if (!possibly_detectable(
+            vector, has_one, has_zero,
+            faults_of(pool[static_cast<std::size_t>(alive[i])]))) {
+      continue;
+    }
+    lanes[count] = alive[i];
+    position[count] = i;
+    if (++count == kLanes) flush();
+  }
+  if (count > 0) flush();
+  if (dropped) std::erase(alive, -1);
+}
+
+void BatchSimulator::drop_detected(const TestVector& vector,
+                                   std::span<const FaultScenario> pool,
+                                   std::vector<int>& alive) const {
+  drop_gathered(vector, pool, alive);
+}
+
+void BatchSimulator::drop_detected(const TestVector& vector,
+                                   std::span<const Fault> pool,
+                                   std::vector<int>& alive) const {
+  drop_gathered(vector, pool, alive);
 }
 
 }  // namespace fpva::sim

@@ -13,6 +13,10 @@
 // words per cell (full pressure and weak = one-degraded-crossing pressure);
 // scenarios without them take the original single-word path unchanged.
 //
+// Campaign shards, coverage runs and the test generator all ask the same
+// question -- which of these scenarios does this vector set detect? -- and
+// all answer it through one fault-dropping step, drop_detected().
+//
 // Semantics are bit-for-bit those of the scalar Simulator (which remains
 // the differential-testing oracle); see tests/batch_sim_test.cpp and
 // tests/sim_fuzz_test.cpp.
@@ -69,25 +73,42 @@ class BatchSimulator {
   LaneMask detect_lanes(const TestVector& vector,
                         std::span<const FaultScenario> scenarios) const;
 
-  /// Gather form of detect_lanes: lane L simulates pool[lanes[L]]. This is
-  /// the fault-dropping workhorse -- callers keep one big scenario pool and
-  /// recompact the indices of still-undetected scenarios into full words as
-  /// earlier vectors drop lanes.
-  LaneMask detect_lanes(const TestVector& vector,
-                        std::span<const FaultScenario> pool,
-                        std::span<const int> lanes) const;
-
-  /// Lanes detected by at least one vector. Early-exits once every active
-  /// lane is detected, so vector order matters for speed (not results).
-  LaneMask any_detect_lanes(std::span<const TestVector> vectors,
-                            std::span<const FaultScenario> scenarios) const;
+  /// The fault-dropping step every "which of these scenarios does the
+  /// vector set detect?" loop is built on: campaign shards, coverage runs
+  /// and the generator all apply their vectors outermost and call this once
+  /// per vector. `alive` holds indices into `pool` of still-undetected
+  /// scenarios; every one `vector` detects is removed and the rest keep
+  /// their order. An exact monotonicity screen skips scenarios that cannot
+  /// change this vector's readings, and the survivors are packed into full
+  /// kLanes-wide words, so later vectors flood only a few words.
+  ///
+  /// The Fault overload treats each fault as a one-fault scenario, without
+  /// materializing a FaultScenario per fault.
+  void drop_detected(const TestVector& vector,
+                     std::span<const FaultScenario> pool,
+                     std::vector<int>& alive) const;
+  void drop_detected(const TestVector& vector, std::span<const Fault> pool,
+                     std::vector<int>& alive) const;
 
  private:
   /// Resolves commanded `states` + per-lane faults into open_lanes_ and
-  /// degraded_lanes_; lane L carries pool[lanes[L]]. Sets any_degraded_.
+  /// degraded_lanes_; lane L carries pool[lanes[L]] (a FaultScenario, or a
+  /// single Fault). Sets any_degraded_.
+  template <class Scenario>
   void resolve_open_lanes(const ValveStates& states,
-                          std::span<const FaultScenario> pool,
+                          std::span<const Scenario> pool,
                           std::span<const int> lanes) const;
+
+  /// Lanes whose readings under `vector.states` differ from
+  /// `vector.expected`; lane L simulates pool[lanes[L]].
+  template <class Scenario>
+  LaneMask detect_gathered(const TestVector& vector,
+                           std::span<const Scenario> pool,
+                           std::span<const int> lanes) const;
+
+  template <class Scenario>
+  void drop_gathered(const TestVector& vector, std::span<const Scenario> pool,
+                     std::vector<int>& alive) const;
 
   /// Word-wide flood fill: pressurized_ = fixed point of propagating
   /// source lanes through open_lanes_-gated links. Dispatches to

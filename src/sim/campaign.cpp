@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -113,56 +114,12 @@ struct ShardOutcome {
   bool completed = false;
 };
 
-/// True when `scenario` could possibly change the readings of `vector`:
-/// an exact monotonicity screen, not a heuristic. Faults that only close
-/// valves shrink the pressurized region, so they can only flip sinks whose
-/// expected reading is 1; faults that only open valves can only flip
-/// 0-expected sinks; a scenario changing no effective state at all reads
-/// exactly `expected`. Everything the screen rejects is provably
-/// undetected, so skipping its flood keeps results bit-identical.
-bool possibly_detectable(const TestVector& vector, bool has_one_expected,
-                         bool has_zero_expected,
-                         const FaultScenario& scenario) {
-  bool closes = false;
-  bool opens = false;
-  for (const Fault& fault : scenario) {
-    const auto valve = static_cast<std::size_t>(fault.valve);
-    switch (fault.type) {
-      case FaultType::kStuckAt0:
-        closes = closes || vector.states[valve];
-        break;
-      case FaultType::kStuckAt1:
-        opens = opens || !vector.states[valve];
-        break;
-      case FaultType::kControlLeak: {
-        const auto partner = static_cast<std::size_t>(fault.partner);
-        // The leak fires when either partner is actuated; it changes an
-        // effective state only if the other partner was commanded open.
-        if ((!vector.states[valve] || !vector.states[partner]) &&
-            (vector.states[valve] || vector.states[partner])) {
-          closes = true;
-        }
-        break;
-      }
-      case FaultType::kDegradedFlow:
-        // Weakening flow through a commanded-open valve only shrinks the
-        // meter-visible region (monotone decrease). On a commanded-closed
-        // valve it matters only if a stuck-at-1 in the same scenario opens
-        // the valve, and then the readings stay a superset of expected —
-        // covered by that fault's own `opens` contribution.
-        closes = closes || vector.states[valve];
-        break;
-    }
-  }
-  return (closes && has_one_expected) || (opens && has_zero_expected);
-}
-
-/// Evaluates trials [first_trial, first_trial + count) with fault dropping:
-/// vectors are applied outermost, and after each vector the surviving
-/// (still-undetected) trials are compacted into fresh full 64-lane words.
-/// Early vectors detect the bulk of the trials, so later vectors flood only
-/// a few words -- this is where the batched engine beats the scalar path's
-/// per-trial early exit.
+/// Evaluates trials [first_trial, first_trial + count) with fault dropping
+/// (BatchSimulator::drop_detected): vectors are applied outermost, and each
+/// vector floods only the still-undetected trials, packed into full 64-lane
+/// words. Early vectors detect the bulk of the trials, so later vectors
+/// flood only a few words -- this is where the batched engine beats the
+/// scalar path's per-trial early exit.
 ShardOutcome evaluate_shard(const BatchSimulator& batch,
                             std::span<const TestVector> vectors,
                             const CampaignOptions& options,
@@ -183,62 +140,11 @@ ShardOutcome evaluate_shard(const BatchSimulator& batch,
 
   // alive holds pool indices of undetected trials, always in trial order.
   std::vector<int> alive(pool.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    alive[i] = static_cast<int>(i);
-  }
-  std::vector<int> screened;   // lanes worth flooding, in trial order
-  std::vector<int> survivors;  // lanes still undetected afterward
-  screened.reserve(alive.size());
-  survivors.reserve(alive.size());
+  std::iota(alive.begin(), alive.end(), 0);
   for (const TestVector& vector : vectors) {
     if (alive.empty()) break;
     if (options.stop.stop_requested()) return outcome;  // abandon, don't fold
-    bool has_one = false;
-    bool has_zero = false;
-    for (const bool expected : vector.expected) {
-      (expected ? has_one : has_zero) = true;
-    }
-    screened.clear();
-    for (const int index : alive) {
-      if (possibly_detectable(vector, has_one, has_zero,
-                              pool[static_cast<std::size_t>(index)])) {
-        screened.push_back(index);
-      }
-    }
-    if (screened.empty()) continue;
-    survivors.clear();
-    for (std::size_t chunk = 0; chunk < screened.size();
-         chunk += BatchSimulator::kLanes) {
-      const std::size_t lanes = std::min<std::size_t>(
-          BatchSimulator::kLanes, screened.size() - chunk);
-      const auto detected = batch.detect_lanes(
-          vector, pool,
-          std::span<const int>(screened.data() + chunk, lanes));
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        if (!((detected >> lane) & 1)) {
-          survivors.push_back(screened[chunk + lane]);
-        }
-      }
-    }
-    if (survivors.size() == screened.size()) continue;  // nothing dropped
-    // alive := (alive \ screened) merged with survivors, preserving trial
-    // order; both inputs are sorted.
-    std::vector<int> merged;
-    merged.reserve(alive.size() - screened.size() + survivors.size());
-    std::size_t s = 0;  // cursor into screened
-    std::size_t u = 0;  // cursor into survivors
-    for (const int index : alive) {
-      if (s < screened.size() && screened[s] == index) {
-        ++s;
-        if (u < survivors.size() && survivors[u] == index) {
-          ++u;
-          merged.push_back(index);
-        }
-      } else {
-        merged.push_back(index);
-      }
-    }
-    alive.swap(merged);
+    batch.drop_detected(vector, pool, alive);
   }
 
   outcome.detected = count - static_cast<int>(alive.size());

@@ -1,6 +1,8 @@
 #include "sim/coverage.h"
 
 #include <functional>
+#include <numeric>
+#include <utility>
 
 #include "common/check.h"
 #include "sim/batch.h"
@@ -27,29 +29,41 @@ std::vector<Fault> control_leak_universe(const grid::ValveArray& array) {
   return universe;
 }
 
+namespace {
+
+/// Scenarios per enumeration chunk of the multi-fault coverage runs: the
+/// pool is dropped against every vector, then its survivors are reported
+/// and the next chunk enumerated, so memory stays bounded however large
+/// the enumeration grows.
+constexpr std::size_t kChunkScenarios = 4096;
+
+/// Indices into `pool` of the scenarios no vector detects, in pool order.
+template <class Scenario>
+std::vector<int> undetected_indices(const BatchSimulator& batch,
+                                    std::span<const TestVector> vectors,
+                                    std::span<const Scenario> pool) {
+  std::vector<int> alive(pool.size());
+  std::iota(alive.begin(), alive.end(), 0);
+  for (const TestVector& vector : vectors) {
+    if (alive.empty()) break;
+    batch.drop_detected(vector, pool, alive);
+  }
+  return alive;
+}
+
+}  // namespace
+
 CoverageReport single_fault_coverage(const Simulator& simulator,
                                      std::span<const TestVector> vectors,
                                      std::span<const Fault> universe) {
   CoverageReport report;
   report.total_faults = static_cast<int>(universe.size());
   const BatchSimulator batch(simulator.array());
-  std::vector<FaultScenario> scenarios;
-  for (std::size_t base = 0; base < universe.size();
-       base += BatchSimulator::kLanes) {
-    const std::size_t count = std::min<std::size_t>(
-        BatchSimulator::kLanes, universe.size() - base);
-    scenarios.clear();
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      scenarios.push_back({universe[base + lane]});
-    }
-    const auto detected = batch.any_detect_lanes(vectors, scenarios);
-    for (std::size_t lane = 0; lane < count; ++lane) {
-      if ((detected >> lane) & 1) {
-        ++report.detected_faults;
-      } else {
-        report.undetected.push_back(universe[base + lane]);
-      }
-    }
+  const std::vector<int> alive = undetected_indices(batch, vectors, universe);
+  report.detected_faults = report.total_faults - static_cast<int>(alive.size());
+  report.undetected.reserve(alive.size());
+  for (const int index : alive) {
+    report.undetected.push_back(universe[static_cast<std::size_t>(index)]);
   }
   return report;
 }
@@ -60,19 +74,17 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
                                       std::size_t max_undetected_kept) {
   PairCoverageReport report;
   const BatchSimulator batch(simulator.array());
-  std::vector<FaultScenario> scenarios;
+  std::vector<FaultScenario> pool;
   const auto flush = [&] {
-    if (scenarios.empty()) return;
-    const auto detected = batch.any_detect_lanes(vectors, scenarios);
-    for (std::size_t lane = 0; lane < scenarios.size(); ++lane) {
-      if ((detected >> lane) & 1) {
-        ++report.detected_pairs;
-      } else if (report.undetected.size() < max_undetected_kept) {
-        report.undetected.emplace_back(scenarios[lane][0],
-                                       scenarios[lane][1]);
-      }
+    const std::span<const FaultScenario> chunk = pool;
+    const std::vector<int> alive = undetected_indices(batch, vectors, chunk);
+    report.detected_pairs += static_cast<long>(pool.size() - alive.size());
+    for (const int index : alive) {
+      if (report.undetected.size() >= max_undetected_kept) break;
+      const FaultScenario& pair = pool[static_cast<std::size_t>(index)];
+      report.undetected.emplace_back(pair[0], pair[1]);
     }
-    scenarios.clear();
+    pool.clear();
   };
   for (std::size_t a = 0; a < universe.size(); ++a) {
     for (std::size_t b = a + 1; b < universe.size(); ++b) {
@@ -80,8 +92,8 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
       // both stuck open and stuck closed); skip same-valve combinations.
       if (universe[a].valve == universe[b].valve) continue;
       ++report.total_pairs;
-      scenarios.push_back({universe[a], universe[b]});
-      if (scenarios.size() == BatchSimulator::kLanes) flush();
+      pool.push_back({universe[a], universe[b]});
+      if (pool.size() == kChunkScenarios) flush();
     }
   }
   flush();
@@ -99,18 +111,17 @@ SetCoverageReport fault_set_coverage(const Simulator& simulator,
   const grid::ValveArray& array = simulator.array();
   const BatchSimulator batch(array);
 
-  std::vector<FaultScenario> scenarios;
+  std::vector<FaultScenario> pool;
   const auto flush = [&] {
-    if (scenarios.empty()) return;
-    const auto detected = batch.any_detect_lanes(vectors, scenarios);
-    for (std::size_t lane = 0; lane < scenarios.size(); ++lane) {
-      if ((detected >> lane) & 1) {
-        ++report.detected_sets;
-      } else if (report.undetected.size() < max_undetected_kept) {
-        report.undetected.push_back(scenarios[lane]);
-      }
+    const std::span<const FaultScenario> chunk = pool;
+    const std::vector<int> alive = undetected_indices(batch, vectors, chunk);
+    report.detected_sets += static_cast<long>(pool.size() - alive.size());
+    for (const int index : alive) {
+      if (report.undetected.size() >= max_undetected_kept) break;
+      report.undetected.push_back(
+          std::move(pool[static_cast<std::size_t>(index)]));
     }
-    scenarios.clear();
+    pool.clear();
   };
 
   // Depth-first subset enumeration in universe order; `used` rejects
@@ -124,8 +135,8 @@ SetCoverageReport fault_set_coverage(const Simulator& simulator,
       [&](std::size_t start, int remaining) {
         if (remaining == 0) {
           ++report.total_sets;
-          scenarios.push_back(current);
-          if (scenarios.size() == BatchSimulator::kLanes) flush();
+          pool.push_back(current);
+          if (pool.size() == kChunkScenarios) flush();
           return;
         }
         for (std::size_t i = start;

@@ -5,6 +5,11 @@
 // detect? Detection is behavioral (simulated), not structural, so coverage
 // here accounts for path interference, fluidic seas and masking exactly as
 // a real chip would exhibit them.
+//
+// Every run is vector-major fault dropping through
+// BatchSimulator::drop_detected, the same step the campaigns use: each
+// vector floods only the still-undetected scenarios, and undetected
+// results come back in universe (or enumeration) order.
 #ifndef FPVA_SIM_COVERAGE_H
 #define FPVA_SIM_COVERAGE_H
 
@@ -35,15 +40,17 @@ struct CoverageReport {
   bool complete() const { return detected_faults == total_faults; }
 };
 
-/// Single-fault coverage of `vectors` over `universe`.
+/// Single-fault coverage of `vectors` over `universe`; `undetected` keeps
+/// universe order.
 CoverageReport single_fault_coverage(const Simulator& simulator,
                                      std::span<const TestVector> vectors,
                                      std::span<const Fault> universe);
 
 /// Exhaustive two-fault coverage: every unordered pair of distinct faults
 /// from `universe` is injected together. Quadratic in |universe|; intended
-/// for arrays up to roughly 10x10. Undetected entries list both pair
-/// members consecutively.
+/// for arrays up to roughly 10x10. Pairs are enumerated in universe order
+/// and dropped in bounded chunks; `undetected` keeps the first
+/// `max_undetected_kept` undetected pairs of that order.
 struct PairCoverageReport {
   long total_pairs = 0;
   long detected_pairs = 0;
@@ -65,11 +72,12 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
 
 /// Exhaustive fault-set coverage: every size-`set_size` subset of
 /// `universe` whose faults occupy pairwise-disjoint valves (a control leak
-/// occupies both of its partners) is injected as one scenario, batched 64
-/// subsets per grid pass. This is the enumeration counterpart of the
-/// randomized campaign draw and the brute-force oracle behind the masking
-/// cross-check tests. Combinatorial in |universe| — intended for small
-/// grids.
+/// occupies both of its partners) is injected as one scenario, dropped in
+/// bounded chunks of the depth-first enumeration; `undetected` keeps the
+/// first `max_undetected_kept` undetected sets of that order. This is the
+/// enumeration counterpart of the randomized campaign draw and the
+/// brute-force oracle behind the masking cross-check tests. Combinatorial
+/// in |universe| — intended for small grids.
 struct SetCoverageReport {
   int set_size = 0;
   long total_sets = 0;

@@ -6,6 +6,7 @@
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/stop.h"
+#include "core/generator.h"
 #include "grid/builder.h"
 #include "grid/presets.h"
 #include "sim/batch.h"
@@ -241,33 +242,170 @@ TEST(CampaignEquivalenceTest, ZeroDegradedProbabilityPreservesRngStream) {
   }
 }
 
-TEST(CampaignEquivalenceTest, CoverageMatchesScalarBruteForce) {
-  // single_fault_coverage now runs batched; cross-check against a direct
-  // scalar loop.
-  const auto array = grid::table1_array(5);
-  const Simulator simulator(array);
-  common::Rng rng(3);
+/// The faults one coverage scenario injects.
+std::span<const Fault> faults_of(const FaultScenario& scenario) {
+  return scenario;
+}
+std::span<const Fault> faults_of(const Fault& fault) { return {&fault, 1}; }
+
+/// Scalar reference for the coverage runs: the scenarios no vector
+/// detects, in input order.
+template <class Scenario>
+std::vector<Scenario> scalar_undetected(const Simulator& simulator,
+                                        std::span<const TestVector> vectors,
+                                        std::span<const Scenario> pool) {
+  std::vector<Scenario> undetected;
+  for (const Scenario& scenario : pool) {
+    if (!simulator.any_detects(vectors, faults_of(scenario))) {
+      undetected.push_back(scenario);
+    }
+  }
+  return undetected;
+}
+
+std::vector<TestVector> random_vectors(common::Rng& rng,
+                                       const Simulator& simulator,
+                                       int count) {
   std::vector<TestVector> vectors;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < count; ++i) {
     TestVector vector;
-    vector.states = random_states(rng, array);
+    vector.states = random_states(rng, simulator.array());
     vector.expected = simulator.expected(vector.states);
     vectors.push_back(std::move(vector));
   }
-  const auto universe = single_stuck_fault_universe(array);
-  const auto report = single_fault_coverage(simulator, vectors, universe);
-  int expected_detected = 0;
-  std::vector<Fault> expected_undetected;
-  for (const Fault& fault : universe) {
-    const Fault injected[] = {fault};
-    if (simulator.any_detects(vectors, injected)) {
-      ++expected_detected;
-    } else {
-      expected_undetected.push_back(fault);
+  return vectors;
+}
+
+TEST(CampaignEquivalenceTest, CoverageMatchesScalarBruteForce) {
+  // single_fault_coverage runs vector-major through the batched drop step;
+  // cross-check count and undetected order against a direct scalar loop
+  // over universes wider than one lane word (with a partial last word),
+  // for a generated program (whose vectors the monotonicity screen
+  // rejects most faults against), random vectors, and no vectors at all.
+  for (const int preset : {5, 10}) {
+    const auto array = grid::table1_array(preset);
+    const Simulator simulator(array);
+    const std::vector<Fault> stuck = single_stuck_fault_universe(array);
+    const std::vector<Fault> leaks = control_leak_universe(array);
+    std::vector<Fault> degraded;
+    for (grid::ValveId v = 0; v < array.valve_count(); ++v) {
+      degraded.push_back(degraded_flow(v));
+    }
+    std::vector<Fault> mixed;
+    for (const std::vector<Fault>* family :
+         std::initializer_list<const std::vector<Fault>*>{&stuck, &leaks,
+                                                          &degraded}) {
+      mixed.insert(mixed.end(), family->begin(), family->end());
+    }
+    ASSERT_GT(mixed.size(), std::size_t{2 * BatchSimulator::kLanes});
+    ASSERT_NE(mixed.size() % BatchSimulator::kLanes, 0u);  // partial word
+    common::Rng rng(static_cast<std::uint64_t>(preset) + 3);
+    const std::vector<std::vector<TestVector>> vector_sets = {
+        core::generate_test_set(array).vectors,
+        random_vectors(rng, simulator, 6),
+        {},
+    };
+    for (const std::vector<Fault>* universe :
+         std::initializer_list<const std::vector<Fault>*>{
+             &stuck, &leaks, &degraded, &mixed}) {
+      for (std::size_t set = 0; set < vector_sets.size(); ++set) {
+        const std::span<const Fault> faults = *universe;
+        const auto report =
+            single_fault_coverage(simulator, vector_sets[set], faults);
+        const auto expected =
+            scalar_undetected(simulator,
+                              std::span<const TestVector>(vector_sets[set]),
+                              faults);
+        EXPECT_EQ(report.total_faults, static_cast<int>(faults.size()));
+        EXPECT_EQ(report.detected_faults,
+                  static_cast<int>(faults.size() - expected.size()))
+            << "preset " << preset << " set " << set;
+        EXPECT_EQ(report.undetected, expected)
+            << "preset " << preset << " set " << set;
+      }
     }
   }
-  EXPECT_EQ(report.detected_faults, expected_detected);
-  EXPECT_EQ(report.undetected, expected_undetected);
+}
+
+TEST(CampaignEquivalenceTest, MultiFaultCoverageMatchesScalarBruteForce) {
+  // Both enumerations cross the 4 096-scenario chunk boundary; the kept
+  // undetected list must be the scalar list's prefix for any cap.
+  const auto array = grid::full_array(6, 6);
+  const Simulator simulator(array);
+  common::Rng rng(17);
+  const std::vector<TestVector> vectors = random_vectors(rng, simulator, 4);
+  std::vector<Fault> universe = single_stuck_fault_universe(array);
+  const std::vector<Fault> leaks = control_leak_universe(array);
+  universe.insert(universe.end(), leaks.begin(), leaks.begin() + 10);
+
+  std::vector<FaultScenario> pairs;
+  for (std::size_t a = 0; a < universe.size(); ++a) {
+    for (std::size_t b = a + 1; b < universe.size(); ++b) {
+      if (universe[a].valve != universe[b].valve) {
+        pairs.push_back({universe[a], universe[b]});
+      }
+    }
+  }
+  ASSERT_GT(pairs.size(), 4096u);
+  const auto pair_expected = scalar_undetected(
+      simulator, std::span<const TestVector>(vectors),
+      std::span<const FaultScenario>(pairs));
+  ASSERT_GT(pair_expected.size(), 3u);
+  for (const std::size_t kept : {std::size_t{3}, pair_expected.size()}) {
+    const auto report = two_fault_coverage(simulator, vectors, universe, kept);
+    EXPECT_EQ(report.total_pairs, static_cast<long>(pairs.size()));
+    EXPECT_EQ(report.detected_pairs,
+              static_cast<long>(pairs.size() - pair_expected.size()));
+    ASSERT_EQ(report.undetected.size(), kept);
+    for (std::size_t i = 0; i < kept; ++i) {
+      EXPECT_EQ(report.undetected[i].first, pair_expected[i][0]) << i;
+      EXPECT_EQ(report.undetected[i].second, pair_expected[i][1]) << i;
+    }
+  }
+
+  // Size-3 sets over a smaller universe, enumerated like
+  // fault_set_coverage: universe order, pairwise-disjoint valve footprints.
+  const std::span<const Fault> small(universe.data(), 48);
+  const auto footprint_overlaps = [](const FaultScenario& set,
+                                     const Fault& fault) {
+    const auto on = [&](grid::ValveId v) {
+      return v == fault.valve ||
+             (fault.type == FaultType::kControlLeak && v == fault.partner);
+    };
+    for (const Fault& other : set) {
+      if (on(other.valve) ||
+          (other.type == FaultType::kControlLeak && on(other.partner))) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<FaultScenario> triples;
+  for (std::size_t a = 0; a < small.size(); ++a) {
+    for (std::size_t b = a + 1; b < small.size(); ++b) {
+      if (footprint_overlaps({small[a]}, small[b])) continue;
+      for (std::size_t c = b + 1; c < small.size(); ++c) {
+        if (!footprint_overlaps({small[a], small[b]}, small[c])) {
+          triples.push_back({small[a], small[b], small[c]});
+        }
+      }
+    }
+  }
+  ASSERT_GT(triples.size(), 4096u);
+  const auto set_expected = scalar_undetected(
+      simulator, std::span<const TestVector>(vectors),
+      std::span<const FaultScenario>(triples));
+  ASSERT_GT(set_expected.size(), 3u);
+  for (const std::size_t kept : {std::size_t{3}, set_expected.size()}) {
+    const auto report = fault_set_coverage(simulator, vectors, small, 3, kept);
+    EXPECT_EQ(report.total_sets, static_cast<long>(triples.size()));
+    EXPECT_EQ(report.detected_sets,
+              static_cast<long>(triples.size() - set_expected.size()));
+    EXPECT_EQ(report.undetected,
+              std::vector<FaultScenario>(
+                  set_expected.begin(),
+                  set_expected.begin() + static_cast<std::ptrdiff_t>(kept)));
+  }
 }
 
 TEST(ParallelCampaignTest, BitIdenticalAcrossThreadCounts) {

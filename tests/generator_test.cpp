@@ -45,8 +45,40 @@ TEST(BypassAnalysisTest, ParallelChannelsBypassAValve) {
 
 class GeneratorSweep : public ::testing::TestWithParam<int> {};
 
+/// Testable faults of `set` that the scalar Simulator finds no vector
+/// for: every sa0/sa1 on a valve outside set.untestable and every control
+/// leak outside set.untestable_leaks. An oracle independent of the
+/// batched coverage code the generator itself runs on.
+std::vector<sim::Fault> scalar_escapes(const grid::ValveArray& array,
+                                       const GeneratedTestSet& set) {
+  const sim::Simulator simulator(array);
+  std::vector<sim::Fault> faults;
+  for (grid::ValveId v = 0; v < array.valve_count(); ++v) {
+    if (std::find(set.untestable.begin(), set.untestable.end(), v) ==
+        set.untestable.end()) {
+      faults.push_back(sim::stuck_at_0(v));
+      faults.push_back(sim::stuck_at_1(v));
+    }
+  }
+  for (const sim::Fault& leak : sim::control_leak_universe(array)) {
+    if (std::find(set.untestable_leaks.begin(), set.untestable_leaks.end(),
+                  leak) == set.untestable_leaks.end()) {
+      faults.push_back(leak);
+    }
+  }
+  std::vector<sim::Fault> escapes;
+  for (const sim::Fault& fault : faults) {
+    const sim::Fault injected[] = {fault};
+    if (!simulator.any_detects(set.vectors, injected)) {
+      escapes.push_back(fault);
+    }
+  }
+  return escapes;
+}
+
 // The headline property: the generated set detects every single testable
-// stuck fault and every control-leak pair.
+// stuck fault and every control-leak pair -- by its own final sweep and by
+// an independent scalar re-check.
 TEST_P(GeneratorSweep, FullSingleFaultCoverage) {
   const auto array = grid::table1_array(GetParam());
   const auto set = generate_test_set(array);
@@ -54,6 +86,9 @@ TEST_P(GeneratorSweep, FullSingleFaultCoverage) {
   EXPECT_TRUE(set.undetected.empty())
       << set.undetected.size() << " undetected, first: "
       << (set.undetected.empty() ? "" : to_string(set.undetected.front()));
+  const auto escapes = scalar_escapes(array, set);
+  EXPECT_TRUE(escapes.empty()) << escapes.size() << " scalar escapes: "
+                               << sim::to_string(escapes);
   EXPECT_GT(set.path_stage.vectors, 0);
   EXPECT_GT(set.cut_stage.vectors, 0);
 }
@@ -61,7 +96,10 @@ TEST_P(GeneratorSweep, FullSingleFaultCoverage) {
 INSTANTIATE_TEST_SUITE_P(Table1, GeneratorSweep, ::testing::Values(5, 10));
 
 TEST(GeneratorTest, VectorCountsScaleLikeTwoSqrtNv) {
-  // Table I reports N ~= 2*sqrt(n_v); allow a generous factor.
+  // Measured: the default (flat) generator emits N = 45 vectors on this
+  // preset (n_v = 176), about 3.4*sqrt(n_v); the paper's Table I reports
+  // 26 (~2*sqrt(n_v)). The bounds are generous ceilings that catch a
+  // blow-up, not a reproduction of the paper's count.
   const auto array = grid::table1_array(10);
   const auto set = generate_test_set(array);
   const double nv = array.valve_count();
@@ -130,18 +168,9 @@ TEST(GeneratorTest, CutVectorsCanBeDisabled) {
 TEST(GeneratorTest, LeakVectorsCoverAllTestablePairs) {
   const auto array = grid::full_array(5, 5);
   const auto set = generate_test_set(array);
-  const sim::Simulator simulator(array);
-  std::vector<sim::Fault> universe;
-  for (const sim::Fault& leak : sim::control_leak_universe(array)) {
-    if (std::find(set.untestable_leaks.begin(), set.untestable_leaks.end(),
-                  leak) == set.untestable_leaks.end()) {
-      universe.push_back(leak);
-    }
-  }
-  const auto report =
-      sim::single_fault_coverage(simulator, set.vectors, universe);
-  EXPECT_TRUE(report.complete())
-      << report.undetected.size() << " leak pairs undetected";
+  const auto escapes = scalar_escapes(array, set);
+  EXPECT_TRUE(escapes.empty())
+      << escapes.size() << " faults undetected: " << sim::to_string(escapes);
   // Exactly the two port-less corners of the array are untestable: any
   // route into a degree-2 corner cell uses both of its valves, so the pair
   // can never be separated.

@@ -1,10 +1,10 @@
 // Seeded differential fuzzing of the simulator stack: for every seed the
-// bit-parallel BatchSimulator and the campaign built on it are replayed
-// against the scalar Simulator oracle on randomized arrays, vectors and
-// multi-fault scenarios (stuck-at, control-leak and degraded-flow faults,
-// including sets that pile several faults onto one valve). Any divergence
-// fails with the seed and fault set printed so the case can be replayed via
-// FPVA_SIM_FUZZ_SEEDS.
+// bit-parallel BatchSimulator, its fault-dropping step and the campaign
+// built on it are replayed against the scalar Simulator oracle on
+// randomized arrays, vectors and multi-fault scenarios (stuck-at,
+// control-leak and degraded-flow faults, including sets that pile several
+// faults onto one valve). Any divergence fails with the seed and fault set
+// printed so the case can be replayed via FPVA_SIM_FUZZ_SEEDS.
 //
 // Seeds come from FPVA_SIM_SEED_FILE (one uint64 per line) and/or
 // FPVA_SIM_FUZZ_SEEDS (whitespace-separated inline); with neither set the
@@ -139,6 +139,55 @@ void fuzz_batch_vs_scalar(std::uint64_t seed) {
   }
 }
 
+/// One drop-step case: a pool of overlapping multi-fault scenarios, wider
+/// than one lane word, is dropped vector by vector from a random ordered
+/// subset. After every vector the survivors must be exactly the entries the
+/// scalar oracle does not flag, in their original order; the single-fault
+/// overload is held to the same rule on a pool of lone faults.
+void fuzz_drop_step(std::uint64_t seed) {
+  common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  const grid::ValveArray array = random_array(rng);
+  const Simulator scalar(array);
+  const BatchSimulator batch(array);
+  const auto leak_pairs = control_leak_pairs(array);
+  std::vector<FaultScenario> pool;
+  const int pool_size = 1 + static_cast<int>(rng.next_below(200));
+  for (int i = 0; i < pool_size; ++i) {
+    pool.push_back(random_overlapping_set(
+        rng, array, leak_pairs, 1 + static_cast<int>(rng.next_below(4))));
+  }
+  std::vector<Fault> singles;
+  for (const FaultScenario& scenario : pool) singles.push_back(scenario[0]);
+  std::vector<int> alive;
+  for (int i = 0; i < pool_size; ++i) {
+    if (rng.next_bool(0.8)) alive.push_back(i);
+  }
+  std::vector<int> alive_singles = alive;
+  for (int round = 0; round < 4; ++round) {
+    TestVector vector;
+    vector.states = random_states(rng, array);
+    vector.expected = scalar.expected(vector.states);
+    std::vector<int> expected;
+    for (const int index : alive) {
+      if (!scalar.detects(vector, pool[static_cast<std::size_t>(index)])) {
+        expected.push_back(index);
+      }
+    }
+    std::vector<int> expected_singles;
+    for (const int index : alive_singles) {
+      const Fault injected[] = {singles[static_cast<std::size_t>(index)]};
+      if (!scalar.detects(vector, injected)) {
+        expected_singles.push_back(index);
+      }
+    }
+    batch.drop_detected(vector, pool, alive);
+    batch.drop_detected(vector, singles, alive_singles);
+    ASSERT_EQ(alive, expected) << "seed=" << seed << " round=" << round;
+    ASSERT_EQ(alive_singles, expected_singles)
+        << "seed=" << seed << " round=" << round;
+  }
+}
+
 /// One campaign case: batched and scalar runners over the same options must
 /// produce bit-identical rows (trials, detections, kept samples).
 void fuzz_campaign(std::uint64_t seed) {
@@ -207,6 +256,7 @@ TEST(SimFuzzTest, SeededSweep) {
   const std::vector<std::uint64_t> seeds = configured_seeds();
   for (const std::uint64_t seed : seeds) {
     fuzz_batch_vs_scalar(seed);
+    fuzz_drop_step(seed);
     fuzz_campaign(seed);
   }
 }
