@@ -448,15 +448,9 @@ std::string fingerprint_config(const ilp::Options& options) {
   return common::cat(
       "v1 tol=", options.integrality_tolerance,
       " int=", options.objective_is_integral, " pre=", options.presolve,
-      " prop=", options.node_propagation, " warm=", options.warm_start,
-      " pc=", options.pseudocost_branching,
+      " prop=", options.node_propagation,
       " branch=", static_cast<int>(options.branching),
-      " retries=", options.max_lp_retries,
-      " alg=", static_cast<int>(options.lp_algorithm),
-      " fact=", static_cast<int>(options.lp_factorization),
-      " warmrow=", options.warm_row_addition,
-      " stack=", options.basis_stack_depth, " cutdepth=", options.cut_depth,
-      " devex=", options.devex_pricing, " probe=", options.probing,
+      " retries=", options.max_lp_retries, " probe=", options.probing,
       " clique=", options.clique_cuts, " cutrounds=", options.max_cut_rounds,
       " cutsper=", options.max_cuts_per_round,
       " orbit=", options.orbit_symmetry_rows,

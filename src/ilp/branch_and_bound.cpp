@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -27,10 +26,10 @@ namespace fpva::ilp {
 namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
-/// Cut-and-branch caps: rows appended to the live basis over the whole
-/// tree, and per separation call, so node LPs stay small.
-constexpr long kMaxDepthCutRows = 200;
-constexpr long kMaxDepthCutsPerNode = 20;
+/// Nodes at depth <= this keep a basis checkpoint; after a backtrack jump
+/// the nearest ancestor checkpoint is restored instead of dual-repairing
+/// the warm basis across two unrelated subtrees.
+constexpr int kBasisStackDepth = 12;
 
 /// One bound change relative to the parent node.
 struct BoundDelta {
@@ -220,34 +219,13 @@ struct SharedSearch {
 class Searcher {
  public:
   /// `shared_propagator` (optional) reuses a Propagator already built over
-  /// this exact model, e.g. by the root presolve. `separator` (optional)
-  /// enables cut-and-branch: globally-valid cuts separated at shallow tree
-  /// nodes are appended to the live basis of the shared warm solver.
+  /// this exact model, e.g. by the root presolve.
   Searcher(const Model& model, const Options& options,
-           const Propagator* shared_propagator, bool root_propagated,
-           CutSeparator* separator)
-      : model_(model), options_(options) {
-    if (options_.warm_start) {
-      lp::SolveOptions lp_options;
-      lp_options.max_iterations = options.lp_iteration_limit;
-      lp_options.algorithm = lp::Algorithm::kRevised;
-      lp_options.pricing = options.devex_pricing ? lp::Pricing::kDevex
-                                                 : lp::Pricing::kDantzig;
-      lp_options.factorization = options.lp_factorization;
-      // Exact duals cost an extra BTRAN + pricing pass per optimal solve;
-      // only bound-based LP learning consumes them. Leaving the flag off
-      // otherwise keeps the default node LPs byte-identical to PR-8.
-      lp_options.want_duals = options.lp_conflict_learning &&
-                              options.conflict_learning &&
-                              options.node_propagation;
-      solver_.emplace(model.lp(), lp_options);
-      if (separator != nullptr && options.cut_depth > 0 &&
-          options.warm_row_addition &&
-          options.lp_factorization == lp::Factorization::kForrestTomlin) {
-        separator_ = separator;
-      }
-    }
-    root_propagated_ = root_propagated;
+           const Propagator* shared_propagator, bool root_propagated)
+      : model_(model),
+        options_(options),
+        solver_(model.lp(), node_lp_options(options)),
+        root_propagated_(root_propagated) {
     if (shared_propagator != nullptr) {
       propagator_ = shared_propagator;
     } else if (options_.node_propagation) {
@@ -511,10 +489,10 @@ class Searcher {
         apply_path(node);
       }
 
-      if (use_basis_stack()) prepare_basis(node);
+      prepare_basis(node);
       lp::Solution relaxation = solve_node_lp(node.lp_budget);
       result.lp_pivots += relaxation.iterations;
-      if (use_basis_stack()) last_solved_path_ = node.path;
+      last_solved_path_ = node.path;
       if (relaxation.status == lp::SolveStatus::kIterationLimit) {
         if (options_.stop.stop_requested()) {
           // The pivot budget was cut short by the deadline itself, not by
@@ -545,14 +523,6 @@ class Searcher {
         exhausted_bound = -kInfinity;  // cannot certify optimality any more
         bound_lost = true;
         continue;
-      }
-      // Cut-and-branch: at shallow depths, separate globally-valid cuts
-      // from this node's fractional point and append them to the live
-      // basis — they tighten every LP solved for the rest of the search.
-      if (separator_ != nullptr && relaxation.status == lp::SolveStatus::kOptimal &&
-          node.depth <= options_.cut_depth &&
-          depth_cut_rows_ < kMaxDepthCutRows) {
-        relaxation = apply_depth_cuts(node, std::move(relaxation), result);
       }
       if (relaxation.status == lp::SolveStatus::kInfeasible) {
         // An infeasible node LP used to prune silently; with LP learning
@@ -619,7 +589,7 @@ class Searcher {
         }
         continue;
       }
-      if (use_basis_stack() && relaxation.status == lp::SolveStatus::kOptimal) {
+      if (relaxation.status == lp::SolveStatus::kOptimal) {
         maybe_push_snapshot(node);
       }
 
@@ -732,15 +702,12 @@ class Searcher {
     }
 
     result.seconds = timer.seconds();
-    if (solver_.has_value()) {
-      result.lp_refactorizations = solver_->refactorizations();
-      result.lp_basis_updates = solver_->basis_updates();
-      result.warm_cut_rows = solver_->warm_rows_added();
-      result.lp_eta_fallbacks = solver_->eta_fallbacks();
-    }
+    result.lp_refactorizations = solver_.refactorizations();
+    result.lp_basis_updates = solver_.basis_updates();
+    result.warm_cut_rows = solver_.warm_rows_added();
+    result.lp_eta_fallbacks = solver_.eta_fallbacks();
     result.lp_dense_fallbacks = dense_fallbacks_;
     result.basis_restores = basis_restores_;
-    result.cuts_at_depth = static_cast<int>(depth_cut_rows_);
     if (conflict_.has_value()) {
       result.conflicts = conflict_->stats().conflicts;
       result.lp_conflicts = conflict_->stats().lp_conflicts;
@@ -858,9 +825,8 @@ class Searcher {
   }
 
   /// Builds, verifies and analyzes the bound clause an LP refutation
-  /// certifies. `solver_ray` carries weights over the rows of the LP the
-  /// node actually solved — the model rows first, any in-tree cut rows
-  /// after (lp::Solution::farkas_ray sign convention). With
+  /// certifies. `solver_ray` carries one weight per model row
+  /// (lp::Solution::farkas_ray sign convention). With
   /// `with_objective`, the aggregation additionally includes the virtual
   /// objective row `c.x <= objective_cutoff` with weight 1 (bound-based
   /// pruning from the exact duals). The clause is handed to the conflict
@@ -875,7 +841,7 @@ class Searcher {
     constexpr double kMargin = 1e-6;     // required certificate violation
     const lp::Model& lpm = model_.lp();
     const int mc = lpm.constraint_count();
-    if (static_cast<int>(solver_ray.size()) < mc) return false;
+    if (static_cast<int>(solver_ray.size()) != mc) return false;
     double scale = 0.0;
     for (const double w : solver_ray) {
       if (!std::isfinite(w)) return false;
@@ -887,13 +853,6 @@ class Searcher {
     // dual certificate is pinned by the objective row's weight of 1.
     const double norm = with_objective ? 1.0 : scale;
     const double slack = kSignSlack * (scale / norm);
-    // In-tree cut rows (indices >= mc) are valid for the integer model
-    // but cannot be re-derived by the explanation checker from the model
-    // rows; a certificate leaning on one is not turned into a clause.
-    for (std::size_t i = static_cast<std::size_t>(mc); i < solver_ray.size();
-         ++i) {
-      if (std::abs(solver_ray[i]) / norm > slack) return false;
-    }
     std::vector<double> weights(static_cast<std::size_t>(mc), 0.0);
     for (int i = 0; i < mc; ++i) {
       double w = solver_ray[static_cast<std::size_t>(i)] / norm;
@@ -977,18 +936,13 @@ class Searcher {
     return k;
   }
 
-  bool use_basis_stack() const {
-    return options_.basis_stack_depth > 0 && solver_.has_value();
-  }
-
   /// Prunes checkpoints that are not ancestors of `node`, then decides
   /// whether continuing from the live basis or restoring the deepest
   /// ancestor checkpoint promises the shorter dual repair.
   void prepare_basis(const Node& node) {
     while (!basis_stack_.empty()) {
       const SavedBasis& top = basis_stack_.back();
-      if (top.snapshot.rows == solver_->row_count() &&
-          top.path.size() <= node.path.size() &&
+      if (top.path.size() <= node.path.size() &&
           shared_prefix(top.path, node.path) == top.path.size()) {
         break;
       }
@@ -1002,59 +956,24 @@ class Searcher {
     // backtrack jump, and only when the checkpoint sits at least as deep
     // as the divergence point (otherwise the live basis is closer).
     constexpr std::size_t kRestoreJump = 4;
-    if (solver_->has_basis() &&
+    if (solver_.has_basis() &&
         (jump < kRestoreJump || top.path.size() < shared)) {
       return;
     }
-    if (solver_->restore_basis(top.snapshot)) ++basis_restores_;
+    if (solver_.restore_basis(top.snapshot)) ++basis_restores_;
   }
 
   /// Saves the current (optimal) basis as a checkpoint for `node` when it
   /// is shallow enough. prepare_basis() guarantees every stacked entry is
   /// an ancestor of the node being processed, so pushing keeps nesting.
   void maybe_push_snapshot(const Node& node) {
-    if (node.depth > options_.basis_stack_depth) return;
-    if (!solver_->has_basis()) return;
+    if (node.depth > kBasisStackDepth) return;
+    if (!solver_.has_basis()) return;
     if (!basis_stack_.empty() &&
         basis_stack_.back().path.size() >= node.path.size()) {
       return;  // budget retry of the same node: checkpoint already taken
     }
-    basis_stack_.push_back({node.path, solver_->snapshot_basis()});
-  }
-
-  /// Cut-and-branch separation rounds at a shallow node: append the
-  /// violated globally-valid cuts to the live basis and reoptimize. The
-  /// returned relaxation is the (tighter) final one; an infeasible
-  /// re-solve proves the node infeasible because every appended row is
-  /// valid for the full integer model.
-  lp::Solution apply_depth_cuts(const Node& node, lp::Solution relaxation,
-                                Result& result) {
-    std::vector<CandidateCut> cuts;
-    std::vector<lp::Term> terms;
-    // Two bounded separation rounds; the pivot count is aggregated for
-    // stats, not searched over. The node loop around this polls the token.
-    // fpva-lint: allow(missing-stop-poll)
-    for (int round = 0; round < 2; ++round) {
-      if (relaxation.status != lp::SolveStatus::kOptimal) break;
-      if (depth_cut_rows_ >= kMaxDepthCutRows) break;
-      const int budget = static_cast<int>(
-          std::min<long>(kMaxDepthCutsPerNode,
-                         kMaxDepthCutRows - depth_cut_rows_));
-      separator_->separate(relaxation.values, budget, &cuts);
-      if (cuts.empty()) break;
-      basis_stack_.clear();  // checkpoints pin the previous row count
-      for (const CandidateCut& cut : cuts) {
-        const double rhs = literal_row(cut.literals, cut.rhs_literals,
-                                       &terms);
-        solver_->add_row(terms, lp::Sense::kLessEqual, rhs);
-      }
-      depth_cut_rows_ += static_cast<long>(cuts.size());
-      lp::Solution tightened = solve_node_lp(node.lp_budget);
-      result.lp_pivots += tightened.iterations;
-      if (tightened.status == lp::SolveStatus::kIterationLimit) break;
-      relaxation = std::move(tightened);
-    }
-    return relaxation;
+    basis_stack_.push_back({node.path, solver_.snapshot_basis()});
   }
 
   /// Rebuilds cur_lower_/cur_upper_ for `node`: root bounds with the node's
@@ -1069,27 +988,39 @@ class Searcher {
     }
   }
 
-  /// Solves the node LP over cur_lower_/cur_upper_. Warm path: push only
-  /// the changed bounds into the shared incremental solver and dual-simplex
-  /// reoptimize; cold path: rebuild through lp::solve each time.
+  /// The shared warm engine's options: Devex pricing over the
+  /// Forrest-Tomlin LU (the lp::SolveOptions defaults). Exact duals cost an
+  /// extra BTRAN + pricing pass per optimal solve; only bound-based LP
+  /// learning consumes them, so they are requested only then.
+  static lp::SolveOptions node_lp_options(const Options& options) {
+    lp::SolveOptions lp_options;
+    lp_options.max_iterations = options.lp_iteration_limit;
+    lp_options.want_duals = options.lp_conflict_learning &&
+                            options.conflict_learning &&
+                            options.node_propagation;
+    return lp_options;
+  }
+
+  /// Solves the node LP over cur_lower_/cur_upper_: push only the changed
+  /// bounds into the shared warm solver and dual-simplex reoptimize. A node
+  /// the warm solver reports numerical trouble on (after its own LU -> eta
+  /// recovery) is re-solved from scratch through the dense tableau.
   lp::Solution solve_node_lp(long budget) {
     const int n = model_.variable_count();
-    if (options_.warm_start) {
-      for (int j = 0; j < n; ++j) {
-        const auto js = static_cast<std::size_t>(j);
-        if (solver_->lower_bound(j) != cur_lower_[js] ||
-            solver_->upper_bound(j) != cur_upper_[js]) {
-          solver_->set_bounds(j, cur_lower_[js], cur_upper_[js]);
-        }
+    for (int j = 0; j < n; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      if (solver_.lower_bound(j) != cur_lower_[js] ||
+          solver_.upper_bound(j) != cur_upper_[js]) {
+        solver_.set_bounds(j, cur_lower_[js], cur_upper_[js]);
       }
-      solver_->set_iteration_limit(budget);
-      lp::Solution solution = solver_->reoptimize();
-      if (!solver_->numerical_trouble()) return solution;
-      ++dense_fallbacks_;
-      common::log_warning(
-          "branch-and-bound: warm solver hit numerical trouble; node "
-          "re-solved through the dense oracle");
     }
+    solver_.set_iteration_limit(budget);
+    lp::Solution solution = solver_.reoptimize();
+    if (!solver_.numerical_trouble()) return solution;
+    ++dense_fallbacks_;
+    common::log_warning(
+        "branch-and-bound: warm solver hit numerical trouble; node "
+        "re-solved through the dense oracle");
     if (!lp_copy_.has_value()) lp_copy_.emplace(model_.lp());
     for (int j = 0; j < n; ++j) {
       lp_copy_->set_bounds(j, cur_lower_[static_cast<std::size_t>(j)],
@@ -1097,13 +1028,7 @@ class Searcher {
     }
     lp::SolveOptions lp_options;
     lp_options.max_iterations = budget;
-    lp_options.algorithm = options_.warm_start ? lp::Algorithm::kDenseTableau
-                                               : options_.lp_algorithm;
-    lp_options.pricing = options_.devex_pricing ? lp::Pricing::kDevex
-                                                : lp::Pricing::kDantzig;
-    lp_options.factorization = options_.lp_factorization;
-    lp_options.want_duals =
-        options_.lp_conflict_learning && conflict_.has_value();
+    lp_options.algorithm = lp::Algorithm::kDenseTableau;
     return lp::solve(*lp_copy_, lp_options);
   }
 
@@ -1137,7 +1062,7 @@ class Searcher {
 
   /// Records the dual-bound degradation of the branch that created `node`.
   void update_pseudocost(const Node& node, double bound) {
-    if (!options_.pseudocost_branching || node.branch_var < 0) return;
+    if (node.branch_var < 0) return;
     ensure_pseudocost_storage();
     if (!std::isfinite(node.parent_bound) || !std::isfinite(bound)) return;
     const double gain = std::max(bound - node.parent_bound, 0.0);
@@ -1165,11 +1090,10 @@ class Searcher {
     return std::abs(model_.lp().variable(var).objective) + 1.0;
   }
 
-  /// The active branching rule (kAuto resolves per pseudocost_branching).
+  /// The active branching rule (kAuto resolves to kPseudocost).
   Branching branching() const {
-    if (options_.branching != Branching::kAuto) return options_.branching;
-    return options_.pseudocost_branching ? Branching::kPseudocost
-                                         : Branching::kMostFractional;
+    return options_.branching == Branching::kAuto ? Branching::kPseudocost
+                                                  : options_.branching;
   }
 
   /// Most promising fractional integer variable, or -1 when none is
@@ -1200,13 +1124,12 @@ class Searcher {
         const double up_gain = pseudocost(j, true) * (1.0 - frac);
         score = std::max(down_gain, 1e-6) * std::max(up_gain, 1e-6);
         weighted = model_.lp().variable(j).objective != 0.0;
-      } else if (rule == Branching::kActivity) {
-        // Highest conflict activity; the strict comparison below keeps
-        // the lowest index on ties, so an all-zero activity profile (no
-        // conflict yet, or learning off) degrades to input order.
-        score = conflict_.has_value() ? conflict_->variable_activity(j) : 0.0;
       } else {
-        score = distance;  // most-fractional
+        // kActivity: highest conflict activity; the strict comparison
+        // below keeps the lowest index on ties, so an all-zero activity
+        // profile (no conflict yet, or learning off) degrades to input
+        // order.
+        score = conflict_.has_value() ? conflict_->variable_activity(j) : 0.0;
       }
       if (best < 0 || (weighted && !best_weighted) ||
           (weighted == best_weighted && score > best_score)) {
@@ -1220,12 +1143,10 @@ class Searcher {
 
   const Model& model_;
   const Options& options_;
-  /// Bounds scratch for cold/oracle solves; built on first use so the
-  /// warm-start path never pays for the model copy.
+  /// Bounds scratch for the dense fallback; built on first use so a search
+  /// without numerical trouble never pays for the model copy.
   std::optional<lp::Model> lp_copy_;
-  /// Shared warm-start engine; absent when warm_start is off so the
-  /// legacy/oracle configuration pays nothing for it.
-  std::optional<lp::RevisedSimplex> solver_;
+  lp::RevisedSimplex solver_;  ///< shared warm engine of every node LP
   std::optional<Propagator> own_propagator_;
   const Propagator* propagator_ = nullptr;
   std::vector<double> rounded_;  ///< rounding-heuristic scratch
@@ -1243,11 +1164,9 @@ class Searcher {
   long restart_count_ = 0;      ///< restarts taken (Luby index)
   std::vector<double> lp_ray_scratch_;  ///< negated duals, bound-based learning
   std::vector<double> agg_;             ///< aggregated-certificate scratch
-  CutSeparator* separator_ = nullptr;  ///< non-null => cut-and-branch on
   std::vector<SavedBasis> basis_stack_;
   std::vector<BoundDelta> last_solved_path_;
   long basis_restores_ = 0;
-  long depth_cut_rows_ = 0;
   long dense_fallbacks_ = 0;  ///< warm nodes re-solved via the dense oracle
   std::vector<char> integer_;  ///< cached integrality mask
   std::vector<double> root_lower_, root_upper_;
@@ -1282,8 +1201,7 @@ Result solve_parallel_tree(const Model& model, const Options& options,
         Options worker_options = options;
         worker_options.conflict_observer = &publish;
         try {
-          Searcher searcher(model, worker_options, nullptr, root_propagated,
-                            nullptr);
+          Searcher searcher(model, worker_options, nullptr, root_propagated);
           partials[job] =
               searcher.run_worker(shared, static_cast<int>(job), &publish);
         } catch (...) {
@@ -1342,18 +1260,14 @@ Result solve_parallel_tree(const Model& model, const Options& options,
 }
 
 Result solve_without_presolve(const Model& model, const Options& options,
-                              const Propagator* shared_propagator = nullptr,
-                              bool root_propagated = false,
-                              CutSeparator* separator = nullptr) {
+                              const Propagator* shared_propagator,
+                              bool root_propagated) {
   const int workers = common::resolve_thread_count(options.threads);
   if (workers > 1 && model.variable_count() > 0) {
-    // The parallel search builds per-worker propagators and skips
-    // cut-and-branch (the separator appends rows to one shared basis,
-    // which only the serial search owns).
+    // The parallel search builds per-worker propagators.
     return solve_parallel_tree(model, options, workers, root_propagated);
   }
-  Searcher searcher(model, options, shared_propagator, root_propagated,
-                    separator);
+  Searcher searcher(model, options, shared_propagator, root_propagated);
   return searcher.run();
 }
 
@@ -1371,19 +1285,14 @@ struct RootStage {
   long lp_refactorizations = 0;
   long lp_basis_updates = 0;
   long warm_cut_rows = 0;
-  /// Kept alive for cut-and-branch at depth (shares the added-cut
-  /// signatures with the root loop). Null when separation has nothing to
-  /// work with.
-  std::unique_ptr<CutSeparator> separator;
 };
 
 /// Probing, clique-table construction, and the root cutting loop over
-/// `base`. With warm_row_addition (and the Forrest-Tomlin factorization)
-/// the cut LP keeps one factorized basis across rounds: each kept cut is
-/// appended to the live basis — its slack enters the basis — and the next
-/// round's reoptimize() repairs primal feasibility with a few dual pivots
-/// instead of re-crashing from scratch. The eta-oracle configuration keeps
-/// the original cold re-solve per round.
+/// `base`. The cut LP keeps one factorized basis across rounds: each kept
+/// cut is appended to the live basis — its slack enters the basis — and
+/// the next round's reoptimize() repairs primal feasibility with a few
+/// dual pivots instead of re-crashing from scratch. After numerical
+/// trouble the loop re-solves each round cold through lp::solve.
 RootStage run_root_stage(const Model& base, const Options& options,
                          const common::Timer& timer) {
   RootStage stage;
@@ -1416,24 +1325,20 @@ RootStage run_root_stage(const Model& base, const Options& options,
   }
   if (!options.clique_cuts) return stage;
 
-  stage.separator = std::make_unique<CutSeparator>(stage.model, lower, upper,
-                                                   implications);
-  stage.cliques = stage.separator->clique_count();
-  if (stage.separator->empty()) {
-    stage.separator.reset();
-    return stage;
-  }
+  CutSeparator separator(stage.model, lower, upper, implications);
+  stage.cliques = separator.clique_count();
+  if (separator.empty()) return stage;
 
   lp::SolveOptions lp_options;
   lp_options.max_iterations = options.lp_iteration_limit;
-  lp_options.pricing = options.devex_pricing ? lp::Pricing::kDevex
-                                             : lp::Pricing::kDantzig;
-  lp_options.factorization = options.lp_factorization;
-  const bool warm =
-      options.warm_row_addition &&
-      options.lp_factorization == lp::Factorization::kForrestTomlin;
-  std::optional<lp::RevisedSimplex> warm_solver;
-  if (warm) warm_solver.emplace(stage.model.lp(), lp_options);
+  std::optional<lp::RevisedSimplex> warm_solver(std::in_place,
+                                                stage.model.lp(), lp_options);
+  const auto retire_warm_solver = [&] {
+    stage.lp_refactorizations += warm_solver->refactorizations();
+    stage.lp_basis_updates += warm_solver->basis_updates();
+    stage.warm_cut_rows += warm_solver->warm_rows_added();
+    warm_solver.reset();
+  };
 
   std::vector<CandidateCut> cuts;
   std::vector<lp::Term> terms;
@@ -1446,10 +1351,7 @@ RootStage run_root_stage(const Model& base, const Options& options,
                               : warm_solver->reoptimize();
       if (warm_solver->numerical_trouble()) {
         // Fall back to the cold path for the rest of the loop.
-        stage.lp_refactorizations += warm_solver->refactorizations();
-        stage.lp_basis_updates += warm_solver->basis_updates();
-        stage.warm_cut_rows += warm_solver->warm_rows_added();
-        warm_solver.reset();
+        retire_warm_solver();
         relaxation = lp::solve(stage.model.lp(), lp_options);
       }
     } else {
@@ -1457,8 +1359,7 @@ RootStage run_root_stage(const Model& base, const Options& options,
     }
     if (relaxation.status != lp::SolveStatus::kOptimal) break;
 
-    stage.separator->separate(relaxation.values, options.max_cuts_per_round,
-                              &cuts);
+    separator.separate(relaxation.values, options.max_cuts_per_round, &cuts);
     if (cuts.empty()) break;
     for (const CandidateCut& cut : cuts) {
       const double rhs = literal_row(cut.literals, cut.rhs_literals, &terms);
@@ -1473,39 +1374,11 @@ RootStage run_root_stage(const Model& base, const Options& options,
     ++stage.cut_rounds;
     stage.changed = true;
   }
-  if (warm_solver.has_value()) {
-    stage.lp_refactorizations += warm_solver->refactorizations();
-    stage.lp_basis_updates += warm_solver->basis_updates();
-    stage.warm_cut_rows += warm_solver->warm_rows_added();
-  }
+  if (warm_solver.has_value()) retire_warm_solver();
   return stage;
 }
 
 }  // namespace
-
-Options legacy_solver_options() {
-  Options options;
-  options.presolve = false;
-  options.node_propagation = false;
-  options.warm_start = false;
-  options.pseudocost_branching = false;
-  options.branching = Branching::kMostFractional;
-  options.lp_algorithm = lp::Algorithm::kDenseTableau;
-  options.lp_factorization = lp::Factorization::kEta;
-  options.devex_pricing = false;
-  options.probing = false;
-  options.clique_cuts = false;
-  options.orbit_symmetry_rows = false;
-  options.budget_floor_rows = false;
-  options.warm_row_addition = false;
-  options.basis_stack_depth = 0;
-  options.cut_depth = 0;
-  options.conflict_learning = false;
-  options.conflict_backjumping = false;
-  options.lp_conflict_learning = false;
-  options.restart_interval = 0;
-  return options;
-}
 
 Result solve(const Model& model, const Options& options) {
   common::Timer timer;
@@ -1573,10 +1446,8 @@ Result solve(const Model& model, const Options& options) {
   }
   const Propagator* shared =
       root_propagated && working == &model ? &*root_propagator : nullptr;
-  CutSeparator* separator =
-      stage.has_value() ? stage->separator.get() : nullptr;
-  Result searched = solve_without_presolve(*working, inner, shared,
-                                           root_propagated, separator);
+  Result searched =
+      solve_without_presolve(*working, inner, shared, root_propagated);
 
   Result result;
   result.status = searched.status;
@@ -1587,7 +1458,6 @@ Result solve(const Model& model, const Options& options) {
   result.lp_basis_updates = searched.lp_basis_updates;
   result.warm_cut_rows = searched.warm_cut_rows;
   result.basis_restores = searched.basis_restores;
-  result.cuts_at_depth = searched.cuts_at_depth;
   result.conflicts = searched.conflicts;
   result.lp_conflicts = searched.lp_conflicts;
   result.lp_nogoods_learned = searched.lp_nogoods_learned;

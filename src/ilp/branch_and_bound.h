@@ -9,13 +9,19 @@
 // vectors, and a node LP that exhausts its pivot budget is re-queued with a
 // larger budget instead of silently giving up the optimality certificate.
 //
+// Every node LP goes through that one Devex-priced, Forrest-Tomlin
+// RevisedSimplex. Its recovery ladder is LU -> eta file (inside
+// RevisedSimplex) -> dense tableau (a node the warm engine reports
+// numerical trouble on is re-solved through lp::Algorithm::kDenseTableau).
+//
 // Depth-first diving with LP-bound pruning and a nearest-integer rounding
 // heuristic for early incumbents. Designed for the subblock-sized path/cut
 // models of the hierarchical FPVA test generator (hundreds of variables);
 // it is a faithful stand-in for the commercial ILP solver the paper used,
-// not a general-purpose MIP engine. Every acceleration can be switched off
-// through Options, which restores the original cold-start most-fractional
-// search for differential testing.
+// not a general-purpose MIP engine. The search-shaping mechanisms
+// (presolve, propagation, probing, root cuts, conflict learning, ...) can
+// be switched off through Options for differential testing; they change
+// the route to the optimum, never the optimum.
 #ifndef FPVA_ILP_BRANCH_AND_BOUND_H
 #define FPVA_ILP_BRANCH_AND_BOUND_H
 
@@ -24,7 +30,6 @@
 #include "common/stop.h"
 #include "ilp/model.h"
 #include "ilp/presolve.h"
-#include "lp/simplex.h"
 
 namespace fpva::ilp {
 
@@ -55,12 +60,10 @@ enum class Branching {
   /// Defer to the model emitter: core/ilp_models picks kInputOrder for the
   /// chain models (whose chain-major variable layout turns the DFS dive
   /// into sequential chain construction that propagation prunes CP-style);
-  /// plain ilp::solve callers resolve to kPseudocost or kMostFractional
-  /// per `pseudocost_branching`.
+  /// plain ilp::solve callers resolve to kPseudocost.
   kAuto,
-  kPseudocost,      ///< product rule over pseudocost estimates
-  kMostFractional,  ///< the pre-PR selection rule
-  kInputOrder,      ///< first fractional variable in index order
+  kPseudocost,  ///< product rule over pseudocost estimates
+  kInputOrder,  ///< first fractional variable in index order
   /// Fractional variable with the highest conflict activity (bumped for
   /// every variable of every learned clause, decayed per conflict), ties
   /// to the lowest index. Pairs with restarts: after a restart the
@@ -84,45 +87,10 @@ struct Options {
   bool presolve = true;
   /// Single-constraint bound propagation at every node (prunes without LP).
   bool node_propagation = true;
-  /// Reuse one factorized basis across nodes via dual-simplex reoptimize.
-  /// Off = every node LP cold-starts through lp::solve.
-  bool warm_start = true;
-  /// Pseudocost branching (initialized from objective coefficients);
-  /// off = pure most-fractional selection. Consulted when `branching` is
-  /// kAuto and no model emitter overrode it.
-  bool pseudocost_branching = true;
   Branching branching = Branching::kAuto;
   /// Re-queue a node whose LP hit the pivot budget this many times with a
   /// 4x larger budget before declaring the dual bound lost.
   int max_lp_retries = 3;
-  /// LP engine used when warm_start is off (and for differential oracles).
-  lp::Algorithm lp_algorithm = lp::Algorithm::kRevised;
-  /// Basis factorization of every revised-simplex solve (node LPs and cut
-  /// LPs): Forrest-Tomlin LU by default, the product-form eta file as the
-  /// PR-2/PR-3 differential oracle.
-  lp::Factorization lp_factorization = lp::Factorization::kForrestTomlin;
-  /// Root cutting loop appends cut rows to the live factorized basis (the
-  /// cut's slack enters the basis, dual pivots repair feasibility) instead
-  /// of re-crashing the LP from scratch every separation round. Requires
-  /// the Forrest-Tomlin factorization; ignored under the eta oracle.
-  bool warm_row_addition = true;
-  /// Keep basis checkpoints for nodes at depth <= this and restore the
-  /// nearest ancestor checkpoint after a backtrack jump, instead of dual-
-  /// repairing the warm basis across two unrelated subtrees. 0 disables.
-  int basis_stack_depth = 12;
-  /// Separate globally-valid clique/cover cuts at tree nodes of depth <=
-  /// cut_depth and append them to the live basis (cut-and-branch). The
-  /// rows strengthen every later node LP; feasibility checks and
-  /// propagation keep using the original rows. 0 disables. Requires
-  /// warm_start + warm_row_addition + clique_cuts. Off by default: on the
-  /// paper's cut-set models the in-tree cuts perturb the input-order dives
-  /// enough to grow the tree (measured 3-6x on 5x5) — the switch exists
-  /// for A/B runs and for models where the tree is bound-limited.
-  int cut_depth = 0;
-
-  /// Devex reference-framework pricing in the revised simplex (node LPs and
-  /// root cut LPs); off = Dantzig, the PR-2 behavior.
-  bool devex_pricing = true;
   /// Root probing: branch every binary both ways through the propagator,
   /// keep union bounds/fixings and the discovered conflict edges.
   bool probing = true;
@@ -130,9 +98,9 @@ struct Options {
   /// graph) and lifted cover cuts (from knapsack-shaped rows), re-solving
   /// the LP between rounds.
   bool clique_cuts = true;
-  /// Separation rounds at the root. Warm row addition made extra rounds
-  /// nearly free (the loop stops early once separation dries up), so the
-  /// cap is generous.
+  /// Separation rounds at the root. Cut rows are appended to the live
+  /// factorized basis, which makes extra rounds nearly free (the loop stops
+  /// early once separation dries up), so the cap is generous.
   int max_cut_rounds = 16;
   int max_cuts_per_round = 200; ///< most-violated cuts kept per round
   /// Full orbit-based lexicographic ordering rows instead of the single
@@ -158,7 +126,7 @@ struct Options {
   /// siblings and re-entering the prefix node, where the fresh nogood
   /// propagates the flipped bound). Without it conflicts still learn and
   /// the pool still prunes, but the search backtracks plain-DFS. Off by
-  /// default for the same reason cut_depth is: a backjump abandons the
+  /// default: a backjump abandons the
   /// completed-subtree bookkeeping of the DFS stack and re-explores
   /// finished regions, which derails the input-order dives on structured
   /// feasibility instances (measured: 5x5 cut-set certification 5.7 s ->
@@ -199,8 +167,7 @@ struct Options {
   /// serial search — bit-identical counters to the single-threaded
   /// solver; <= 0 means std::thread::hardware_concurrency(). Multi-
   /// threaded runs reach the same optimum/status but their counters and
-  /// incumbent tie-breaks depend on scheduling. Cut-and-branch
-  /// (cut_depth) applies only to the serial search.
+  /// incumbent tie-breaks depend on scheduling.
   int threads = 1;
   /// Worker threads for the III-B-3 budget-escalation loop in
   /// core/ilp_models' find_minimum_*: stages (budgets) run concurrently
@@ -239,7 +206,6 @@ struct Result {
   long lp_basis_updates = 0;         ///< Forrest-Tomlin column updates
   long warm_cut_rows = 0;            ///< cut rows appended to a live basis
   long basis_restores = 0;           ///< basis-stack checkpoint restores
-  int cuts_at_depth = 0;             ///< cut-and-branch rows added in-tree
   long conflicts = 0;                ///< nodes refuted by explained propagation
   long lp_conflicts = 0;             ///< LP refutations analyzed into clauses
   long lp_nogoods_learned = 0;       ///< learned clauses carrying an LP ray
@@ -263,15 +229,6 @@ struct Result {
   /// multi-threaded tree searches (worker pools are not merged).
   std::vector<SeedLiteral> unit_nogoods;
 };
-
-/// The pre-PR-2 configuration: dense-tableau cold start per node, pure
-/// most-fractional branching, and every later acceleration (presolve,
-/// propagation, warm start, devex, probing, clique cuts, orbit/floor rows,
-/// input-order chain branching) switched off. This is the differential
-/// oracle for the accelerated pipeline — benches and tests share this one
-/// definition so a future switch (defaulting on) cannot silently leak into
-/// the "all-off" side. Keep it in sync with every new Options field.
-Options legacy_solver_options();
 
 /// Minimizes `model`. The model is copied internally; bounds are tightened
 /// per node on the copy.

@@ -1,10 +1,10 @@
 // Clique and lifted-cover cut separation for the ILP engine.
 //
 // Extracted from branch_and_bound.cpp so the separation logic is unit-
-// testable on its own: the branch-and-bound root cutting loop and the
-// cut-and-branch path both drive one CutSeparator, and
-// tests/cut_separator_test.cpp exercises violated-clique and lifted-cover
-// separation directly instead of only end-to-end through ilp::solve.
+// testable on its own: the branch-and-bound root cutting loop drives one
+// CutSeparator, and tests/cut_separator_test.cpp exercises violated-clique
+// and lifted-cover separation directly instead of only end-to-end through
+// ilp::solve.
 #ifndef FPVA_ILP_CUT_SEPARATOR_H
 #define FPVA_ILP_CUT_SEPARATOR_H
 
@@ -39,13 +39,12 @@ void separate_covers(const std::vector<PackedTerm>& items, double rhs,
                      const std::vector<double>& x,
                      std::vector<CandidateCut>& out);
 
-/// Separation state shared by the root cutting loop and cut-and-branch at
-/// depth: the clique table, the normalized knapsack rows (original rows
-/// only — cuts never become separation sources), and the signatures of
-/// every cut already added, so a cut enters the model at most once over
-/// the whole solve. Cliques and knapsacks are built from root bounds, so
-/// every cut separated from them is globally valid no matter which node's
-/// fractional point exposed it.
+/// Separation state of the root cutting loop: the clique table, the
+/// normalized knapsack rows (original rows only — cuts never become
+/// separation sources), and the signatures of every cut already added, so
+/// a cut enters the model at most once over the whole loop. Cliques and
+/// knapsacks are built from root bounds, so every cut separated from them
+/// is globally valid.
 class CutSeparator {
  public:
   CutSeparator(const Model& model, const std::vector<double>& lower,

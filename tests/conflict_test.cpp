@@ -34,6 +34,7 @@
 #include "ilp/conflict.h"
 #include "ilp/model.h"
 #include "ilp/presolve.h"
+#include "random_mip.h"
 
 namespace fpva::ilp {
 namespace {
@@ -467,34 +468,13 @@ TEST(LpConflictTest, FarkasRefutationLearnsCheckedClause) {
 
 // ------------------------------------------------------------ fuzz drivers
 
-Model random_mip(common::Rng& rng) {
-  Model model;
-  const int n = 6 + static_cast<int>(rng.next_below(5));
-  std::vector<lp::Term> knap;
-  for (int i = 0; i < n; ++i) {
-    const int x = model.add_binary(-static_cast<double>(rng.next_in(1, 12)));
-    knap.push_back({x, static_cast<double>(rng.next_in(1, 8))});
-  }
-  model.add_constraint(std::move(knap), lp::Sense::kLessEqual,
-                       static_cast<double>(rng.next_in(6, 24)));
-  for (int r = 0; r < 3; ++r) {
-    std::vector<lp::Term> cover;
-    for (int i = 0; i < n; ++i) {
-      if (rng.next_bool(0.4)) cover.push_back({i, 1.0});
-    }
-    if (cover.size() < 2) cover = {{0, 1.0}, {n - 1, 1.0}};
-    model.add_constraint(std::move(cover), lp::Sense::kGreaterEqual, 1.0);
-  }
-  return model;
-}
-
 /// The all-off configuration (LP learning and restarts disabled) must not
 /// even compute duals: search counters stay bit-identical to a build that
 /// never had the feature. Cheap canary for the "off keeps the prior search
 /// bit-exactly" contract the bench gate enforces at scale.
 TEST(LpConflictTest, DisabledLpLearningLeavesCountersUntouched) {
   common::Rng rng(424243);
-  const Model model = random_mip(rng);
+  const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
   Options base;
   base.objective_is_integral = true;
   Options off = base;
@@ -516,7 +496,7 @@ TEST(LpConflictTest, DisabledLpLearningLeavesCountersUntouched) {
 /// and learning must not change the optimum.
 void fuzz_mip(std::uint64_t seed) {
   common::Rng rng(seed);
-  const Model model = random_mip(rng);
+  const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
   CheckingObserver observer("mip seed=" + std::to_string(seed));
   Options learn;
   learn.objective_is_integral = true;
@@ -604,19 +584,18 @@ TEST(ConflictExplanationTest, ChainAndCutSetInstancesEveryNogoodChecks) {
 
 // ---------------------------------------------------- learning differentials
 
-/// The PR-3/PR-4 switch matrix, re-run with conflict learning on and off:
-/// optima bit-equal in every cell.
+/// The probing / clique-cut / input-order switch matrix, re-run with
+/// conflict learning on and off: optima bit-equal in every cell.
 TEST(ConflictDifferentialTest, SwitchMatrixOptimaIdenticalLearningOnAndOff) {
   for (int instance = 0; instance < 6; ++instance) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 48271 + 7);
-    const Model model = random_mip(rng);
-    for (int mask = 0; mask < 16; ++mask) {
+    const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
+    for (int mask = 0; mask < 8; ++mask) {
       Options base;
       base.objective_is_integral = true;
-      base.devex_pricing = (mask & 1) != 0;
-      base.probing = (mask & 2) != 0;
-      base.clique_cuts = (mask & 4) != 0;
-      base.branching = (mask & 8) != 0 ? Branching::kInputOrder
+      base.probing = (mask & 1) != 0;
+      base.clique_cuts = (mask & 2) != 0;
+      base.branching = (mask & 4) != 0 ? Branching::kInputOrder
                                        : Branching::kAuto;
       Options off = base;
       off.conflict_learning = false;

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+
 #include "common/rng.h"
 #include "ilp/branch_and_bound.h"
 #include "ilp/model.h"
+#include "random_mip.h"
 
 namespace fpva::ilp {
 namespace {
+
+using test_support::brute_force_optimum;
+using test_support::random_mip;
 
 TEST(IlpModelTest, TracksIntegrality) {
   Model model;
@@ -176,54 +183,32 @@ TEST_P(IlpRandomKnapsackTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomKnapsacks, IlpRandomKnapsackTest,
                          ::testing::Range(0, 25));
 
-/// The pre-PR configuration: dense-tableau cold start per node, pure
-/// most-fractional branching, no presolve/propagation/warm start, and all
-/// PR-3 mechanisms (devex, probing, clique cuts, input-order chain
-/// branching) off. Retained as the differential oracle for the
-/// accelerated pipeline.
-Options legacy_options() { return legacy_solver_options(); }
-
-Model random_mip(common::Rng& rng) {
-  Model model;
-  const int n = 6 + static_cast<int>(rng.next_below(5));
-  std::vector<lp::Term> knap;
-  for (int i = 0; i < n; ++i) {
-    const int x = model.add_binary(-static_cast<double>(rng.next_in(1, 12)));
-    knap.push_back({x, static_cast<double>(rng.next_in(1, 8))});
+/// Asserts that `result` is the brute-force answer on `model`: proven
+/// infeasible when no 0/1 point is feasible, otherwise optimal with a
+/// feasible incumbent whose objective equals the enumerated minimum
+/// bit-for-bit (the objectives are integral).
+void expect_brute_force_answer(const Model& model, const Result& result) {
+  const std::optional<double> best = brute_force_optimum(model);
+  if (!best.has_value()) {
+    EXPECT_EQ(result.status, ResultStatus::kInfeasible);
+    return;
   }
-  model.add_constraint(std::move(knap), lp::Sense::kLessEqual,
-                       static_cast<double>(rng.next_in(6, 24)));
-  // A couple of covering rows to exercise >= and propagation.
-  for (int r = 0; r < 2; ++r) {
-    std::vector<lp::Term> cover;
-    for (int i = 0; i < n; ++i) {
-      if (rng.next_bool(0.4)) cover.push_back({i, 1.0});
-    }
-    if (cover.size() < 2) cover = {{0, 1.0}, {n - 1, 1.0}};
-    model.add_constraint(std::move(cover), lp::Sense::kGreaterEqual, 1.0);
-  }
-  return model;
+  ASSERT_EQ(result.status, ResultStatus::kOptimal);
+  EXPECT_EQ(result.objective, *best);
+  EXPECT_TRUE(model.is_feasible(result.values, 1e-6));
 }
 
 class IlpDifferentialTest : public ::testing::TestWithParam<int> {};
 
-// The accelerated pipeline (presolve + propagation + warm-started dual
-// simplex + pseudocosts) must reproduce the legacy solver's optima exactly.
-TEST_P(IlpDifferentialTest, AcceleratedMatchesLegacyOptimum) {
+// The full pipeline (presolve + propagation + warm-started dual simplex +
+// pseudocosts + root cuts + conflict learning) must find the enumerated
+// optimum exactly.
+TEST_P(IlpDifferentialTest, DefaultMatchesBruteForceOptimum) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
   const Model model = random_mip(rng);
-  Options accelerated;
-  accelerated.objective_is_integral = true;
-  Options legacy = legacy_options();
-  legacy.objective_is_integral = true;
-  const Result fast = solve(model, accelerated);
-  const Result slow = solve(model, legacy);
-  ASSERT_EQ(fast.status, slow.status);
-  if (fast.status == ResultStatus::kOptimal) {
-    // Integral objectives: the optima must agree bit-for-bit.
-    EXPECT_EQ(fast.objective, slow.objective);
-    EXPECT_TRUE(model.is_feasible(fast.values, 1e-6));
-  }
+  Options options;
+  options.objective_is_integral = true;
+  expect_brute_force_answer(model, solve(model, options));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomMips, IlpDifferentialTest,
@@ -231,29 +216,21 @@ INSTANTIATE_TEST_SUITE_P(RandomMips, IlpDifferentialTest,
 
 class IlpSwitchMatrixTest : public ::testing::TestWithParam<int> {};
 
-// Every combination of the PR-3 mechanisms (devex pricing, probing, clique
-// cuts, input-order branching) must reproduce the legacy optimum on random
-// MIPs: the switches trade speed, never answers.
-TEST_P(IlpSwitchMatrixTest, AllSwitchCombinationsMatchLegacy) {
+// Every combination of probing, clique cuts and input-order branching must
+// find the enumerated optimum on random MIPs: the switches trade speed,
+// never answers.
+TEST_P(IlpSwitchMatrixTest, AllSwitchCombinationsMatchBruteForce) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271828 + 17);
   const Model model = random_mip(rng);
-  Options legacy = legacy_options();
-  legacy.objective_is_integral = true;
-  const Result reference = solve(model, legacy);
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 8; ++mask) {
     Options options;
     options.objective_is_integral = true;
-    options.devex_pricing = (mask & 1) != 0;
-    options.probing = (mask & 2) != 0;
-    options.clique_cuts = (mask & 4) != 0;
-    options.branching = (mask & 8) != 0 ? Branching::kInputOrder
+    options.probing = (mask & 1) != 0;
+    options.clique_cuts = (mask & 2) != 0;
+    options.branching = (mask & 4) != 0 ? Branching::kInputOrder
                                         : Branching::kAuto;
-    const Result result = solve(model, options);
-    ASSERT_EQ(result.status, reference.status) << "mask " << mask;
-    if (reference.status == ResultStatus::kOptimal) {
-      EXPECT_EQ(result.objective, reference.objective) << "mask " << mask;
-      EXPECT_TRUE(model.is_feasible(result.values, 1e-6)) << "mask " << mask;
-    }
+    SCOPED_TRACE(mask);
+    expect_brute_force_answer(model, solve(model, options));
   }
 }
 

@@ -89,37 +89,6 @@ TEST(OptionsToggleTest, NodePropagationOff) {
   expect_set_cover_optimum(options);
 }
 
-TEST(OptionsToggleTest, WarmStartOff) {
-  Options options = integral_options();
-  options.warm_start = false;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
-TEST(OptionsToggleTest, PseudocostBranchingOff) {
-  Options options = integral_options();
-  options.pseudocost_branching = false;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
-TEST(OptionsToggleTest, DenseTableauColdStart) {
-  // lp_algorithm is only consulted when warm_start is off; exercise the
-  // dense-tableau engine end to end through the tree.
-  Options options = integral_options();
-  options.warm_start = false;
-  options.lp_algorithm = lp::Algorithm::kDenseTableau;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
-TEST(OptionsToggleTest, EtaFactorization) {
-  Options options = integral_options();
-  options.lp_factorization = lp::Factorization::kEta;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
 TEST(OptionsToggleTest, CutRoundLimits) {
   // No separation at all, then a starved one-cut-per-round loop.
   Options no_rounds = integral_options();

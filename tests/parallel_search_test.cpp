@@ -23,33 +23,12 @@
 #include "grid/presets.h"
 #include "ilp/branch_and_bound.h"
 #include "ilp/model.h"
+#include "random_mip.h"
 
 namespace fpva {
 namespace {
 
-/// Mirrors ilp_test's random MIP family (knapsack + covering rows) so the
-/// parallel solver is exercised on the same distribution the serial
-/// differential tests use.
-ilp::Model random_mip(common::Rng& rng) {
-  ilp::Model model;
-  const int n = 6 + static_cast<int>(rng.next_below(5));
-  std::vector<lp::Term> knap;
-  for (int i = 0; i < n; ++i) {
-    const int x = model.add_binary(-static_cast<double>(rng.next_in(1, 12)));
-    knap.push_back({x, static_cast<double>(rng.next_in(1, 8))});
-  }
-  model.add_constraint(std::move(knap), lp::Sense::kLessEqual,
-                       static_cast<double>(rng.next_in(6, 24)));
-  for (int r = 0; r < 2; ++r) {
-    std::vector<lp::Term> cover;
-    for (int i = 0; i < n; ++i) {
-      if (rng.next_bool(0.4)) cover.push_back({i, 1.0});
-    }
-    if (cover.size() < 2) cover = {{0, 1.0}, {n - 1, 1.0}};
-    model.add_constraint(std::move(cover), lp::Sense::kGreaterEqual, 1.0);
-  }
-  return model;
-}
+using test_support::random_mip;
 
 /// A model whose tree is too large to finish within the cancellation
 /// tests' grace period: no integral-objective pruning, so the 0.5 gap

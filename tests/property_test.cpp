@@ -12,6 +12,7 @@
 #include "grid/builder.h"
 #include "grid/presets.h"
 #include "grid/serialize.h"
+#include "random_mip.h"
 #include "sim/coverage.h"
 #include "sim/simulator.h"
 
@@ -230,13 +231,10 @@ TEST(VectorShapeProperty, OpenAndClosedCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver-option-set equivalence: the accelerated ILP pipeline (devex,
-// probing, clique cuts, orbit rows, input-order branching) and the legacy
-// pipeline may produce different vector sets, but the behavioral fault
-// coverage audited through sim/ must be identical.
-
-/// The pre-PR-2 solver configuration (one shared definition in ilp/).
-ilp::Options legacy_ilp_options() { return ilp::legacy_solver_options(); }
+// Solver-option-set equivalence: the default ILP pipeline and the one with
+// every search switch off may produce different vector sets, but the
+// budgets and the behavioral fault coverage audited through sim/ must be
+// identical.
 
 /// Audited coverage signature of `vectors` over `universe`: the sorted
 /// undetected-fault names (plus the detected count). Two vector sets with
@@ -255,78 +253,76 @@ std::vector<std::string> coverage_signature(
   return signature;
 }
 
-// Flow-path and cut-set ILP generators, legacy vs accelerated option sets,
-// on small full arrays and one irregular array: identical budgets and
-// identical audited fault coverage.
+// Flow-path and cut-set ILP generators, default vs all-switches-off option
+// sets, on small full arrays and one irregular array: identical budgets,
+// pinned at their known minima (two paths on every array here, two cuts
+// on the 2x2), and identical structural covers.
 TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines) {
   std::vector<grid::ValveArray> arrays;
   arrays.push_back(grid::full_array(2, 2));
-#ifdef NDEBUG
-  // The legacy (dense cold-start) pipeline needs ~1 s on a full 3x3 in
-  // Release; debug/sanitizer builds skip it to stay inside the CI budget.
   arrays.push_back(grid::full_array(3, 3));
-#endif
   // One irregular array: channels punch through the regular structure.
   arrays.push_back(grid::LayoutBuilder(3, 3)
                        .channel(Site{1, 2})
                        .channel(Site{3, 4})
                        .default_ports()
                        .build());
+  const ilp::Options all_off = test_support::all_switches_off();
   for (const grid::ValveArray& array : arrays) {
     // Flow paths: the two pipelines may pick different (equally minimal)
     // covers whose behavioral detection differs, but the budget and the
     // structural cover — every valve crossed by some path — must agree.
-    const auto accel_paths = core::find_minimum_flow_paths(array, 1, 6);
-    const auto legacy_paths =
-        core::find_minimum_flow_paths(array, 1, 6, legacy_ilp_options());
-    ASSERT_EQ(accel_paths.has_value(), legacy_paths.has_value());
-    if (accel_paths.has_value()) {
-      EXPECT_EQ(accel_paths->path_budget, legacy_paths->path_budget);
-      EXPECT_TRUE(accel_paths->proven_minimal);
-      const auto covered_valves = [&](const core::IlpPathResult& result) {
-        std::vector<bool> mask(
-            static_cast<std::size_t>(array.valve_count()), false);
-        for (const core::FlowPath& path : result.paths) {
-          for (const grid::ValveId v : path_valves(array, path)) {
+    const auto default_paths = core::find_minimum_flow_paths(array, 1, 6);
+    const auto off_paths = core::find_minimum_flow_paths(array, 1, 6, all_off);
+    ASSERT_TRUE(default_paths.has_value());
+    ASSERT_TRUE(off_paths.has_value());
+    EXPECT_EQ(default_paths->path_budget, 2);
+    EXPECT_EQ(off_paths->path_budget, 2);
+    EXPECT_TRUE(default_paths->proven_minimal);
+    EXPECT_TRUE(off_paths->proven_minimal);
+    const auto covered_by_paths = [&](const core::IlpPathResult& result) {
+      std::vector<bool> mask(static_cast<std::size_t>(array.valve_count()),
+                             false);
+      for (const core::FlowPath& path : result.paths) {
+        for (const grid::ValveId v : path_valves(array, path)) {
+          mask[static_cast<std::size_t>(v)] = true;
+        }
+      }
+      return mask;
+    };
+    EXPECT_EQ(covered_by_paths(*default_paths), covered_by_paths(*off_paths));
+
+    // Cut sets (2x2-sized models only: the all-off pipeline has no root
+    // cuts, probing or learning to close anything larger quickly).
+    if (array.valve_count() <= 4) {
+      const auto default_cuts = core::find_minimum_cut_sets(array, 1, 4, true);
+      const auto off_cuts =
+          core::find_minimum_cut_sets(array, 1, 4, true, all_off);
+      ASSERT_TRUE(default_cuts.has_value());
+      ASSERT_TRUE(off_cuts.has_value());
+      EXPECT_EQ(default_cuts->cut_budget, 2);
+      EXPECT_EQ(off_cuts->cut_budget, 2);
+      EXPECT_TRUE(default_cuts->proven_minimal);
+      EXPECT_TRUE(off_cuts->proven_minimal);
+      const auto covered_by_cuts = [&](const core::IlpCutResult& result) {
+        std::vector<bool> mask(static_cast<std::size_t>(array.valve_count()),
+                               false);
+        for (const core::CutSet& cut : result.cuts) {
+          for (const grid::ValveId v : cut_valves(array, cut)) {
             mask[static_cast<std::size_t>(v)] = true;
           }
         }
         return mask;
       };
-      EXPECT_EQ(covered_valves(*accel_paths), covered_valves(*legacy_paths));
-    }
-
-    // Cut sets (2x2-sized models only: the legacy pipeline needs minutes
-    // on anything larger, which is the point of this PR).
-    if (array.valve_count() <= 4) {
-      const auto accel_cuts = core::find_minimum_cut_sets(array, 1, 4, true);
-      const auto legacy_cuts =
-          core::find_minimum_cut_sets(array, 1, 4, true, legacy_ilp_options());
-      ASSERT_EQ(accel_cuts.has_value(), legacy_cuts.has_value());
-      if (accel_cuts.has_value()) {
-        EXPECT_EQ(accel_cuts->cut_budget, legacy_cuts->cut_budget);
-        const auto covered_valves = [&](const core::IlpCutResult& result) {
-          std::vector<bool> mask(
-              static_cast<std::size_t>(array.valve_count()), false);
-          for (const core::CutSet& cut : result.cuts) {
-            for (const grid::ValveId v : cut_valves(array, cut)) {
-              mask[static_cast<std::size_t>(v)] = true;
-            }
-          }
-          return mask;
-        };
-        EXPECT_EQ(covered_valves(*accel_cuts), covered_valves(*legacy_cuts));
-      }
+      EXPECT_EQ(covered_by_cuts(*default_cuts), covered_by_cuts(*off_cuts));
     }
   }
 }
 
-// End-to-end generator on every Table-I preset: the accelerated ILP
-// pipeline and the legacy option set must audit to identical fault
-// coverage. The 5x5 preset exercises the ILP path engine (39 valves fits
-// the limit); the legacy configuration routes through the constructive
-// engine (valve limit 0) because its dense cold-start ILP needs minutes on
-// the 5x5 preset — which is exactly the regression this PR removes. The
+// End-to-end generator on every Table-I preset: the ILP path engine and
+// the constructive engine must audit to identical fault coverage. The 5x5
+// preset exercises the ILP path engine (39 valves fits the limit); the
+// other side routes through the constructive engine (valve limit 0). The
 // repair loop makes audited coverage invariant across engines, so the
 // comparison stays meaningful.
 TEST(SolverEquivalenceProperty, TableOnePresetsCoverIdenticallyUnderBothPipelines) {
@@ -335,23 +331,22 @@ TEST(SolverEquivalenceProperty, TableOnePresetsCoverIdenticallyUnderBothPipeline
     if (n > 15) continue;  // keep sanitizer/debug runs inside the budget
 #endif
     const auto array = grid::table1_array(n);
-    core::GeneratorOptions accelerated;
-    accelerated.path_engine = core::GeneratorOptions::PathEngine::kIlp;
-    core::GeneratorOptions legacy = accelerated;
-    legacy.ilp_options = legacy_ilp_options();
-    legacy.ilp_valve_limit = 0;
-    const auto accel_set = core::generate_test_set(array, accelerated);
-    const auto legacy_set = core::generate_test_set(array, legacy);
+    core::GeneratorOptions ilp_engine;
+    ilp_engine.path_engine = core::GeneratorOptions::PathEngine::kIlp;
+    core::GeneratorOptions constructive = ilp_engine;
+    constructive.ilp_valve_limit = 0;
+    const auto ilp_set = core::generate_test_set(array, ilp_engine);
+    const auto constructive_set = core::generate_test_set(array, constructive);
 
     std::vector<sim::Fault> universe;
     for (grid::ValveId v = 0; v < array.valve_count(); ++v) {
       universe.push_back(sim::stuck_at_0(v));
       universe.push_back(sim::stuck_at_1(v));
     }
-    EXPECT_EQ(coverage_signature(array, accel_set.vectors, universe),
-              coverage_signature(array, legacy_set.vectors, universe))
+    EXPECT_EQ(coverage_signature(array, ilp_set.vectors, universe),
+              coverage_signature(array, constructive_set.vectors, universe))
         << "preset " << n << "x" << n;
-    EXPECT_TRUE(accel_set.ilp_certified) << "preset " << n;
+    EXPECT_TRUE(ilp_set.ilp_certified) << "preset " << n;
   }
 }
 

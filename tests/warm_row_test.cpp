@@ -2,12 +2,14 @@
 // Forrest-Tomlin work): appending cut rows to a live factorized basis and
 // dual-repairing must be indistinguishable — in reported optimum and in
 // the validity of the final basis — from crashing the extended LP cold
-// each round, and the ILP pipeline's answers must be bit-identical with
-// the mechanism on or off across the full options switch matrix and the
+// each round, and the ILP pipeline built on it must find the enumerated
+// optimum across the options switch matrix and the known minima of the
 // paper's Table-I / full-array presets.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +20,7 @@
 #include "lp/model.h"
 #include "lp/revised_simplex.h"
 #include "lp/simplex.h"
+#include "random_mip.h"
 
 namespace fpva {
 namespace {
@@ -125,92 +128,65 @@ TEST(WarmRowAdditionTest, EveryCutRoundMatchesColdCrash) {
   }
 }
 
-ilp::Model random_mip(common::Rng& rng) {
-  ilp::Model model;
-  const int n = 6 + static_cast<int>(rng.next_below(5));
-  std::vector<lp::Term> knap;
-  for (int i = 0; i < n; ++i) {
-    const int x = model.add_binary(-static_cast<double>(rng.next_in(1, 12)));
-    knap.push_back({x, static_cast<double>(rng.next_in(1, 8))});
-  }
-  model.add_constraint(std::move(knap), lp::Sense::kLessEqual,
-                       static_cast<double>(rng.next_in(6, 24)));
-  for (int r = 0; r < 2; ++r) {
-    std::vector<lp::Term> cover;
-    for (int i = 0; i < n; ++i) {
-      if (rng.next_bool(0.4)) cover.push_back({i, 1.0});
-    }
-    if (cover.size() < 2) cover = {{0, 1.0}, {n - 1, 1.0}};
-    model.add_constraint(std::move(cover), lp::Sense::kGreaterEqual, 1.0);
-  }
-  return model;
-}
-
-// The 16-combination switch matrix of PR-3 mechanisms, re-run with warm
-// row addition (and its dependents) on and off: the optima must be
-// bit-identical in every cell — warm rows change how the LP reaches the
-// answer, never the answer.
-TEST(WarmRowAdditionTest, SwitchMatrixOptimaIdenticalWarmOnAndOff) {
+// The 8-combination switch matrix of root probing, clique cuts and
+// input-order branching over the warm-row pipeline: every cell must find
+// the enumerated optimum — warm rows change how the LP reaches the answer,
+// never the answer.
+TEST(WarmRowAdditionTest, SwitchMatrixOptimaMatchBruteForce) {
   for (int instance = 0; instance < 6; ++instance) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 982451653ULL + 29);
-    const ilp::Model model = random_mip(rng);
-    for (int mask = 0; mask < 16; ++mask) {
-      ilp::Options base;
-      base.objective_is_integral = true;
-      base.devex_pricing = (mask & 1) != 0;
-      base.probing = (mask & 2) != 0;
-      base.clique_cuts = (mask & 4) != 0;
-      base.branching = (mask & 8) != 0 ? ilp::Branching::kInputOrder
-                                       : ilp::Branching::kAuto;
-
-      ilp::Options warm_on = base;
-      warm_on.warm_row_addition = true;
-      ilp::Options warm_off = base;
-      warm_off.warm_row_addition = false;
-      warm_off.cut_depth = 0;  // cut-and-branch rides on warm rows
-      const ilp::Result on = ilp::solve(model, warm_on);
-      const ilp::Result off = ilp::solve(model, warm_off);
-      ASSERT_EQ(on.status, off.status)
-          << "instance " << instance << " mask " << mask;
-      if (on.status == ilp::ResultStatus::kOptimal) {
-        EXPECT_EQ(on.objective, off.objective)
+    const ilp::Model model = test_support::random_mip(rng);
+    const std::optional<double> best = test_support::brute_force_optimum(model);
+    for (int mask = 0; mask < 8; ++mask) {
+      ilp::Options options;
+      options.objective_is_integral = true;
+      options.probing = (mask & 1) != 0;
+      options.clique_cuts = (mask & 2) != 0;
+      options.branching = (mask & 4) != 0 ? ilp::Branching::kInputOrder
+                                          : ilp::Branching::kAuto;
+      const ilp::Result result = ilp::solve(model, options);
+      if (!best.has_value()) {
+        EXPECT_EQ(result.status, ilp::ResultStatus::kInfeasible)
             << "instance " << instance << " mask " << mask;
+        continue;
       }
+      ASSERT_EQ(result.status, ilp::ResultStatus::kOptimal)
+          << "instance " << instance << " mask " << mask;
+      EXPECT_EQ(result.objective, *best)
+          << "instance " << instance << " mask " << mask;
     }
   }
 }
 
 // Table-I / full-array presets through the real pipeline: the minimum
-// budgets and their certificates must not depend on warm row addition,
-// the basis stack, or cut-and-branch.
-TEST(WarmRowAdditionTest, PresetBudgetsIdenticalWarmOnAndOff) {
-  ilp::Options warm_on;
-  warm_on.objective_is_integral = true;
-  ilp::Options warm_off = warm_on;
-  warm_off.warm_row_addition = false;
-  warm_off.basis_stack_depth = 0;
-  warm_off.cut_depth = 0;
+// budgets and their certificates must not depend on the switches around
+// the warm-row node LPs, and they stay pinned at their known values. The
+// 3x3 cut-set model runs under the default config only: with every switch
+// off it exhausts the 120 s default time limit before the proof closes.
+TEST(WarmRowAdditionTest, PresetBudgetsIdenticalAllSwitchesOnAndOff) {
+  ilp::Options all_on;
+  all_on.objective_is_integral = true;
+  ilp::Options all_off = test_support::all_switches_off();
+  all_off.objective_is_integral = true;
 
   const grid::ValveArray table1 = grid::table1_array(5);
-  for (const grid::ValveArray* array :
-       {&table1}) {
-    const auto on = core::find_minimum_flow_paths(*array, 1, 8, warm_on);
-    const auto off = core::find_minimum_flow_paths(*array, 1, 8, warm_off);
-    ASSERT_TRUE(on.has_value());
-    ASSERT_TRUE(off.has_value());
-    EXPECT_EQ(on->path_budget, off->path_budget);
-    EXPECT_EQ(on->proven_minimal, off->proven_minimal);
-  }
+  const grid::ValveArray full2 = grid::full_array(2, 2);
+  const grid::ValveArray full3 = grid::full_array(3, 3);
+  for (const ilp::Options* options : {&all_on, &all_off}) {
+    const auto paths = core::find_minimum_flow_paths(table1, 1, 8, *options);
+    ASSERT_TRUE(paths.has_value());
+    EXPECT_EQ(paths->path_budget, 2);
+    EXPECT_TRUE(paths->proven_minimal);
 
-  for (const int n : {2, 3}) {
-    const grid::ValveArray array = grid::full_array(n, n);
-    const auto on = core::find_minimum_cut_sets(array, 1, 8, true, warm_on);
-    const auto off = core::find_minimum_cut_sets(array, 1, 8, true, warm_off);
-    ASSERT_TRUE(on.has_value()) << n;
-    ASSERT_TRUE(off.has_value()) << n;
-    EXPECT_EQ(on->cut_budget, off->cut_budget) << n;
-    EXPECT_EQ(on->proven_minimal, off->proven_minimal) << n;
+    const auto cuts = core::find_minimum_cut_sets(full2, 1, 8, true, *options);
+    ASSERT_TRUE(cuts.has_value());
+    EXPECT_EQ(cuts->cut_budget, 2);
+    EXPECT_TRUE(cuts->proven_minimal);
   }
+  const auto cuts = core::find_minimum_cut_sets(full3, 1, 8, true, all_on);
+  ASSERT_TRUE(cuts.has_value());
+  EXPECT_EQ(cuts->cut_budget, 4);
+  EXPECT_TRUE(cuts->proven_minimal);
 }
 
 }  // namespace
