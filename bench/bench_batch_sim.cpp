@@ -92,9 +92,10 @@ int main(int argc, char** argv) {
     const auto batched = sim::run_campaign(simulator, set.vectors, campaign);
     const double batch_s = timer.seconds();
 
-    const sim::ParallelCampaignRunner runner(array);
+    const sim::CatalogEntry entry{&array, set.vectors, campaign};
     timer.reset();
-    const auto parallel = runner.run(set.vectors, campaign);
+    const auto parallel =
+        std::move(sim::run_campaign_catalog({&entry, 1}).front());
     const double par_s = timer.seconds();
 
     bool identical = scalar.rows.size() == batched.rows.size() &&

@@ -66,12 +66,11 @@ void BM_CampaignParallel(benchmark::State& state) {
   core::GeneratorOptions generator_options;
   generator_options.hierarchical = true;
   const auto set = core::generate_test_set(array, generator_options);
-  const sim::ParallelCampaignRunner runner(array);
-  const sim::CampaignOptions campaign = micro_campaign();
+  const sim::CatalogEntry entry{&array, set.vectors, micro_campaign()};
   long detected = 0;
   for (auto _ : state) {
-    const auto result = runner.run(set.vectors, campaign);
-    detected = result.total_detected();
+    const auto results = sim::run_campaign_catalog({&entry, 1});
+    detected = results.front().total_detected();
     benchmark::DoNotOptimize(detected);
   }
   state.counters["detected"] = static_cast<double>(detected);

@@ -2,8 +2,8 @@
 // full array to *proven* optimality and reports every III-B-3 budget
 // escalation stage (status, nodes, pivots, conflict-learning counters,
 // wall time), so the frontier is tracked by CI instead of hand-measured.
-// The 6x6 certifies min = 4 in about a minute with conflict learning +
-// backjumping + LP-refutation nogoods; the open frontier — and the nightly
+// The 6x6 certifies min = 4 in about half a minute (432 nodes) with
+// conflict learning + backjumping; the open frontier — and the nightly
 // default — is 7x7 and up.
 //
 // Usage:  bench_certify [n] [per-stage-seconds] [out.json] [threads]
@@ -120,17 +120,11 @@ int main(int argc, char** argv) {
   ilp::Options options;
   options.time_limit_seconds = stage_seconds;
   // Backjumping is off in the default config (it derails the structured
-  // dives of already-fast instances) but it is the decisive lever on the
-  // stalled frontier stages this probe exists for: with it, the 6x6
-  // budget-4 stage proves its optimum in under a minute.
+  // dives of already-fast instances: 5x5 goes from 132 to 478 nodes) but it
+  // is the decisive lever on the stalled frontier stages this probe exists
+  // for: with it, the 6x6 cut-set minimum of 4 is proven in 432 nodes
+  // instead of 3 356. Every LP refutation learns a nogood either way.
   options.conflict_backjumping = true;
-  // LP-driven learning + Luby restarts: every LP refutation (infeasible
-  // node LP or bound prune) becomes a nogood, and the search restarts on
-  // the Luby schedule keeping the pool and branching activities. This is
-  // what moves the refutation stages — they end in an LP "no", which
-  // previously taught the search nothing.
-  options.lp_conflict_learning = true;
-  options.restart_interval = 256;
   options.threads = threads;
   options.escalation_threads = threads;
   if (deadline_seconds > 0.0) {
@@ -148,8 +142,7 @@ int main(int argc, char** argv) {
   }
   const int resolved = common::resolve_thread_count(threads);
   std::printf("bench_certify: %dx%d cut-set minimum, %.0f s per stage, "
-              "conflict learning %s + backjumping + LP nogoods + Luby "
-              "restarts, %d thread%s%s%s\n",
+              "conflict learning %s + backjumping, %d thread%s%s%s\n",
               n, n, stage_seconds,
               options.conflict_learning ? "on" : "off", resolved,
               resolved == 1 ? "" : "s",
@@ -171,15 +164,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("\n%-8s %-11s %10s %12s %10s %10s %10s %9s %8s %9s\n",
+  std::printf("\n%-8s %-11s %10s %12s %10s %10s %10s %9s %9s\n",
               "budget", "status", "nodes", "pivots", "conflicts", "learned",
-              "backjumps", "lpnogoods", "restarts", "seconds");
+              "backjumps", "lpnogoods", "seconds");
   for (const core::BudgetStage& stage : result->stages) {
-    std::printf("%-8d %-11s %10ld %12ld %10ld %10ld %10ld %9ld %8ld %9.1f\n",
+    std::printf("%-8d %-11s %10ld %12ld %10ld %10ld %10ld %9ld %9.1f\n",
                 stage.budget, status_name(stage.status), stage.nodes,
                 stage.lp_pivots, stage.conflicts, stage.nogoods_learned,
-                stage.backjumps, stage.lp_nogoods, stage.restarts,
-                stage.seconds);
+                stage.backjumps, stage.lp_nogoods, stage.seconds);
   }
   std::printf("\nminimum cut sets: %d (%s)\n", result->cut_budget,
               result->proven_minimal ? "PROVEN minimal"
@@ -202,7 +194,6 @@ int main(int argc, char** argv) {
           << ", \"learned\": " << stage.nogoods_learned
           << ", \"backjumps\": " << stage.backjumps
           << ", \"lpnogoods\": " << stage.lp_nogoods
-          << ", \"restarts\": " << stage.restarts
           << ", \"seconds\": " << stage.seconds << "}";
     }
     out << "\n  ]\n}\n";

@@ -7,7 +7,7 @@
 //
 // BM_SimplexTransportationDense times the dense-tableau LP oracle (the
 // last rung of the node-LP recovery ladder) next to the revised simplex;
-// the *NoLearn / *LpLearn variants pin the conflict-learning settings
+// the *NoLearn / *Backjump variants pin the conflict-learning settings
 // beside the default pipeline. Counters:
 // nodes = branch-and-bound nodes, pivots = simplex pivots summed over all
 // node LPs, cuts = root clique/cover cutting planes kept, budget = minimum
@@ -125,7 +125,6 @@ void run_flow_path(benchmark::State& state, const ilp::Options& base,
   long backjumps = 0;
   long deleted = 0;
   long lp_nogoods = 0;
-  long restarts = 0;
   for (auto _ : state) {
     const auto result = core::find_minimum_flow_paths(array, 1, 8, base);
     if (!result.has_value()) {
@@ -144,7 +143,6 @@ void run_flow_path(benchmark::State& state, const ilp::Options& base,
     backjumps = result->ilp.backjumps;
     deleted = result->ilp.nogoods_deleted;
     lp_nogoods = result->ilp.lp_nogoods_learned;
-    restarts = result->ilp.restarts;
     benchmark::DoNotOptimize(result->path_budget);
     if (crosscheck) {
       // The ILP optimum can never exceed the constructive engine's count.
@@ -169,16 +167,13 @@ void run_flow_path(benchmark::State& state, const ilp::Options& base,
   state.counters["backjumps"] = static_cast<double>(backjumps);
   state.counters["deleted"] = static_cast<double>(deleted);
   state.counters["lpnogoods"] = static_cast<double>(lp_nogoods);
-  state.counters["restarts"] = static_cast<double>(restarts);
 }
 
-/// LP-refutation learning plus Luby restarts on top of the full pipeline
-/// (the PR's tentpole). Shared by the *LpLearn variants below.
-ilp::Options lp_learn_options() {
+/// The bench_certify configuration: the default pipeline plus conflict
+/// backjumping. Shared by the *Backjump variants below.
+ilp::Options backjump_options() {
   ilp::Options options;
   options.conflict_backjumping = true;
-  options.lp_conflict_learning = true;
-  options.restart_interval = 64;
   return options;
 }
 
@@ -206,12 +201,11 @@ BENCHMARK(BM_FlowPathIlpNoLearn)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
-// The tentpole configuration: every LP refutation learns a nogood and the
-// search restarts on the Luby schedule, keeping the pool and activities.
-void BM_FlowPathIlpLpLearn(benchmark::State& state) {
-  run_flow_path(state, lp_learn_options(), /*crosscheck=*/false);
+// The certify configuration: conflicts backjump to their assertion level.
+void BM_FlowPathIlpBackjump(benchmark::State& state) {
+  run_flow_path(state, backjump_options(), /*crosscheck=*/false);
 }
-BENCHMARK(BM_FlowPathIlpLpLearn)
+BENCHMARK(BM_FlowPathIlpBackjump)
     ->Arg(3)
     ->Arg(6)
     ->Unit(benchmark::kMillisecond);
@@ -237,7 +231,6 @@ void run_cut_set(benchmark::State& state, const ilp::Options& base) {
   long backjumps = 0;
   long deleted = 0;
   long lp_nogoods = 0;
-  long restarts = 0;
   for (auto _ : state) {
     const auto result = core::find_minimum_cut_sets(array, 1, 8, true, base);
     if (!result.has_value()) {
@@ -257,7 +250,6 @@ void run_cut_set(benchmark::State& state, const ilp::Options& base) {
     backjumps = result->ilp.backjumps;
     deleted = result->ilp.nogoods_deleted;
     lp_nogoods = result->ilp.lp_nogoods_learned;
-    restarts = result->ilp.restarts;
     benchmark::DoNotOptimize(result->cut_budget);
   }
   state.counters["nodes"] = static_cast<double>(nodes);
@@ -273,7 +265,6 @@ void run_cut_set(benchmark::State& state, const ilp::Options& base) {
   state.counters["backjumps"] = static_cast<double>(backjumps);
   state.counters["deleted"] = static_cast<double>(deleted);
   state.counters["lpnogoods"] = static_cast<double>(lp_nogoods);
-  state.counters["restarts"] = static_cast<double>(restarts);
 }
 
 void BM_CutSetIlp(benchmark::State& state) {
@@ -292,12 +283,12 @@ BENCHMARK(BM_CutSetIlpNoLearn)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// See BM_FlowPathIlpLpLearn: LP-driven learning + restarts on the cut-set
-// escalation (the ISSUE-9 scoreboard at bench scale).
-void BM_CutSetIlpLpLearn(benchmark::State& state) {
-  run_cut_set(state, lp_learn_options());
+// See BM_FlowPathIlpBackjump: the certify configuration on the cut-set
+// escalation (bench_certify at bench scale).
+void BM_CutSetIlpBackjump(benchmark::State& state) {
+  run_cut_set(state, backjump_options());
 }
-BENCHMARK(BM_CutSetIlpLpLearn)
+BENCHMARK(BM_CutSetIlpBackjump)
     ->Arg(3)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);

@@ -4,8 +4,8 @@
 // parallelism inside the branch-and-bound all need the same skeleton: N
 // workers (the calling thread plus N-1 spawned ones) pulling jobs off a
 // shared atomic counter, with the first exception rethrown on the caller
-// after the join. run_jobs is that skeleton, hoisted out of
-// ParallelCampaignRunner so there is exactly one audited implementation.
+// after the join. run_jobs is that skeleton, so there is exactly one
+// audited implementation.
 //
 // Determinism discipline: jobs are claimed in index order and workers
 // write results into per-job slots, so a caller that merges slots in job

@@ -20,10 +20,10 @@
 namespace fpva::core {
 namespace {
 
-// v2: BudgetStage gained restarts/lp_nogoods (the LP-learning PR). An
-// unknown version is a plain miss (see load), so v1 entries simply
+// v3: BudgetStage lost restarts (restarts were removed from the search).
+// An unknown version is a plain miss (see load), so older entries simply
 // re-solve instead of parsing with shifted fields.
-constexpr int kFormatVersion = 2;
+constexpr int kFormatVersion = 3;
 constexpr const char* kMagic = "fpva-cert";
 
 std::uint64_t fnv1a64(const std::string& text) {
@@ -85,7 +85,6 @@ std::string serialize_record(const std::string& key, int budget,
   out << "conflicts " << record.stage.conflicts << '\n';
   out << "nogoods_learned " << record.stage.nogoods_learned << '\n';
   out << "backjumps " << record.stage.backjumps << '\n';
-  out << "restarts " << record.stage.restarts << '\n';
   out << "lp_nogoods " << record.stage.lp_nogoods << '\n';
   out << "best_bound " << double_to_text(record.best_bound) << '\n';
   out << "seeds " << record.seeds.size() << '\n';
@@ -172,10 +171,6 @@ bool parse_record(const std::string& payload, const std::string& key,
   }
   if (!read_field(in, "backjumps", &value) ||
       !parse_long(value, &record->stage.backjumps)) {
-    return false;
-  }
-  if (!read_field(in, "restarts", &value) ||
-      !parse_long(value, &record->stage.restarts)) {
     return false;
   }
   if (!read_field(in, "lp_nogoods", &value) ||

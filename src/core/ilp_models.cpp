@@ -446,7 +446,7 @@ struct StoreHooks {
 /// survives a limit change, a limit-abandoned one does not.
 std::string fingerprint_config(const ilp::Options& options) {
   return common::cat(
-      "v1 tol=", options.integrality_tolerance,
+      "v2 tol=", options.integrality_tolerance,
       " int=", options.objective_is_integral, " pre=", options.presolve,
       " prop=", options.node_propagation,
       " branch=", static_cast<int>(options.branching),
@@ -458,10 +458,7 @@ std::string fingerprint_config(const ilp::Options& options) {
       " learn=", options.conflict_learning,
       " jump=", options.conflict_backjumping,
       " nogoods=", options.max_nogoods, " threads=", options.threads,
-      " lpiter=", options.lp_iteration_limit,
-      " lplearn=", options.lp_conflict_learning,
-      " restart=", options.restart_interval,
-      " luby=", options.restart_luby);
+      " lpiter=", options.lp_iteration_limit);
 }
 
 std::string fingerprint_limits(const ilp::Options& options) {
@@ -632,7 +629,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
   long stage_nogoods_deleted = 0;
   long stage_backjumps = 0;
   long stage_backjump_nodes_skipped = 0;
-  long stage_restarts = 0;
   long stage_lp_nogoods = 0;
   std::vector<BudgetStage> stages;
   const auto record_stage = [&stages](int budget, const ilp::Result& r) {
@@ -645,7 +641,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
     stage.conflicts = r.conflicts;
     stage.nogoods_learned = r.nogoods_learned;
     stage.backjumps = r.backjumps;
-    stage.restarts = r.restarts;
     stage.lp_nogoods = r.lp_nogoods_learned;
     stages.push_back(stage);
   };
@@ -716,7 +711,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
           verified->ilp.conflicts = record->stage.conflicts;
           verified->ilp.nogoods_learned = record->stage.nogoods_learned;
           verified->ilp.backjumps = record->stage.backjumps;
-          verified->ilp.restarts = record->stage.restarts;
           verified->ilp.lp_nogoods_learned = record->stage.lp_nogoods;
           verified->ilp.lp_refactorizations += stage_refactorizations;
           verified->ilp.lp_basis_updates += stage_basis_updates;
@@ -727,7 +721,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
           verified->ilp.nogoods_deleted += stage_nogoods_deleted;
           verified->ilp.backjumps += stage_backjumps;
           verified->ilp.backjump_nodes_skipped += stage_backjump_nodes_skipped;
-          verified->ilp.restarts += stage_restarts;
           verified->ilp.lp_nogoods_learned += stage_lp_nogoods;
           common::log_debug(common::cat(kind, " ILP budget ", budget,
                                         ": stored witness re-validated"));
@@ -787,7 +780,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
       result->ilp.nogoods_deleted += stage_nogoods_deleted;
       result->ilp.backjumps += stage_backjumps;
       result->ilp.backjump_nodes_skipped += stage_backjump_nodes_skipped;
-      result->ilp.restarts += stage_restarts;
       result->ilp.lp_nogoods_learned += stage_lp_nogoods;
       return result;
     }
@@ -811,7 +803,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
     stage_nogoods_deleted += failure.nogoods_deleted;
     stage_backjumps += failure.backjumps;
     stage_backjump_nodes_skipped += failure.backjump_nodes_skipped;
-    stage_restarts += failure.restarts;
     stage_lp_nogoods += failure.lp_nogoods_learned;
     if (failure.status == ilp::ResultStatus::kInfeasible) {
       proven_floor = budget + 1;

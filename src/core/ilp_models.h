@@ -45,8 +45,7 @@ struct BudgetStage {
   long conflicts = 0;
   long nogoods_learned = 0;
   long backjumps = 0;
-  long restarts = 0;     ///< Luby restarts the stage's searches took
-  long lp_nogoods = 0;   ///< learned clauses carrying an LP ray
+  long lp_nogoods = 0;  ///< learned clauses carrying an LP ray
 };
 
 struct IlpPathResult {

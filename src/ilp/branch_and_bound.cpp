@@ -278,9 +278,6 @@ class Searcher {
         unit.lits.push_back(BoundLit{seed.var, seed.is_lower, seed.value});
         conflict_->import_nogood(unit);
       }
-      if (options_.restart_interval > 0) {
-        restart_threshold_ = restart_conflict_budget(1);
-      }
     }
   }
 
@@ -378,28 +375,6 @@ class Searcher {
           have_incumbent = true;
         }
       }
-      // Luby restarts (serial only): past the conflict budget of the
-      // current interval, drop the DFS stack and re-dive from the root.
-      // The nogood pool, activities, pseudocosts and incumbent survive,
-      // so the fresh dive is steered by everything the refutations
-      // taught. Sound for the dual bound: the re-pushed root re-covers
-      // every discarded pending region (a backjump to level 0).
-      if (shared == nullptr && restart_threshold_ > 0 &&
-          conflict_.has_value() &&
-          conflict_->stats().conflicts + conflict_->stats().lp_conflicts -
-                  restart_baseline_ >=
-              restart_threshold_) {
-        stack.clear();
-        basis_stack_.clear();
-        Node fresh;
-        fresh.lp_budget = options_.lp_iteration_limit;
-        stack.push_back(std::move(fresh));
-        ++result.restarts;
-        ++restart_count_;
-        restart_baseline_ =
-            conflict_->stats().conflicts + conflict_->stats().lp_conflicts;
-        restart_threshold_ = restart_conflict_budget(restart_count_ + 1);
-      }
       Node node = std::move(stack.back());
       stack.pop_back();
       ++result.nodes;
@@ -425,8 +400,7 @@ class Searcher {
       // LP-refutation learning needs the conflict trail this node's
       // explained propagation left behind (analyze_lp_refutation resolves
       // over it), so it is armed only when that propagation actually ran.
-      const bool lp_learn = options_.lp_conflict_learning &&
-                            conflict_.has_value() && propagate_here;
+      const bool lp_learn = conflict_.has_value() && propagate_here;
       if (conflict_.has_value() && propagate_here) {
         // Explained propagation (conflict.h): decisions are re-applied on
         // the engine's trail, then rows, the objective-cutoff row and the
@@ -444,22 +418,10 @@ class Searcher {
                                   : kInfinity);
         const ConflictEngine::NodeOutcome outcome =
             conflict_->propagate_node(decisions_, cur_lower_, cur_upper_);
-        if (shared != nullptr && publish != nullptr &&
-            !publish->fresh.empty()) {
-          shared->publish(worker_id, &publish->fresh);
-        }
-        // A worker never backjumps above its subtree job's root: the
-        // region up there may be owned by other workers, and re-covering
-        // it would duplicate their search. The learned nogood is unit at
-        // the clamped level too (more bounds are fixed there), so the
-        // asserted bound still propagates and progress is preserved.
-        const int jump_level =
-            shared == nullptr ? outcome.assertion_level
-                              : std::max(outcome.assertion_level, job_depth);
         if (!outcome.feasible) {
           ++result.nodes_pruned_by_propagation;
-          if (outcome.has_assertion &&
-              backjump_to(jump_level, node, &stack, &result)) {
+          if (share_and_backjump(outcome, node, job_depth, shared, publish,
+                                 &stack, &result)) {
             // Backjump: re-enter the search at the assertion level. The
             // re-pushed prefix node's region is a superset of the current
             // leaf and of every pending sibling deeper than the assertion
@@ -525,25 +487,16 @@ class Searcher {
         continue;
       }
       if (relaxation.status == lp::SolveStatus::kInfeasible) {
-        // An infeasible node LP used to prune silently; with LP learning
-        // on, its Farkas ray is aggregated into a bound clause over the
-        // node's local bounds, verified numerically, and analyzed through
-        // the same 1-UIP machinery as a propagation conflict.
+        // An infeasible node LP's Farkas ray is aggregated into a bound
+        // clause over the node's local bounds, verified numerically, and
+        // analyzed through the same 1-UIP machinery as a propagation
+        // conflict.
         if (lp_learn && !relaxation.farkas_ray.empty()) {
           ConflictEngine::NodeOutcome lp_outcome;
           if (try_learn_lp_conflict(relaxation.farkas_ray, false, 0.0,
                                     result, &lp_outcome)) {
-            if (shared != nullptr && publish != nullptr &&
-                !publish->fresh.empty()) {
-              shared->publish(worker_id, &publish->fresh);
-            }
-            const int lp_jump =
-                shared == nullptr
-                    ? lp_outcome.assertion_level
-                    : std::max(lp_outcome.assertion_level, job_depth);
-            if (lp_outcome.has_assertion) {
-              backjump_to(lp_jump, node, &stack, &result);
-            }
+            share_and_backjump(lp_outcome, node, job_depth, shared, publish,
+                               &stack, &result);
             // No exhausted-bound fold: the LP proved the region holds no
             // real point at all, so its dual bound is +infinity whether
             // or not the learned clause ended up cutoff-dependent.
@@ -573,17 +526,8 @@ class Searcher {
             ConflictEngine::NodeOutcome lp_outcome;
             if (try_learn_lp_conflict(lp_ray_scratch_, true, cutoff, result,
                                       &lp_outcome)) {
-              if (shared != nullptr && publish != nullptr &&
-                  !publish->fresh.empty()) {
-                shared->publish(worker_id, &publish->fresh);
-              }
-              const int lp_jump =
-                  shared == nullptr
-                      ? lp_outcome.assertion_level
-                      : std::max(lp_outcome.assertion_level, job_depth);
-              if (lp_outcome.has_assertion) {
-                backjump_to(lp_jump, node, &stack, &result);
-              }
+              share_and_backjump(lp_outcome, node, job_depth, shared, publish,
+                                 &stack, &result);
             }
           }
         }
@@ -782,6 +726,27 @@ class Searcher {
     }
   }
 
+  /// Follows up a conflict analysis: publishes the nogoods it learned to
+  /// the other workers, then backjumps to its assertion level. A worker
+  /// never backjumps above its subtree job's root: the region up there may
+  /// be owned by other workers, and re-covering it would duplicate their
+  /// search. The learned nogood is unit at the clamped level too (more
+  /// bounds are fixed there), so the asserted bound still propagates and
+  /// progress is preserved. Returns whether the backjump was taken.
+  bool share_and_backjump(const ConflictEngine::NodeOutcome& outcome,
+                          const Node& node, int job_depth,
+                          SharedSearch* shared, PublishingObserver* publish,
+                          std::vector<Node>* stack, Result* result) {
+    if (shared != nullptr && publish != nullptr && !publish->fresh.empty()) {
+      shared->publish(worker_id_, &publish->fresh);
+    }
+    if (!outcome.has_assertion) return false;
+    const int jump_level = shared == nullptr
+                               ? outcome.assertion_level
+                               : std::max(outcome.assertion_level, job_depth);
+    return backjump_to(jump_level, node, stack, result);
+  }
+
   /// Discards every pending node deeper than `jump_level` and re-enters
   /// the search at the first `jump_level` decisions of `node` (where the
   /// freshly learned nogood is unit). Returns false — leaving the stack
@@ -804,24 +769,6 @@ class Searcher {
     jump.lp_budget = options_.lp_iteration_limit;
     stack->push_back(std::move(jump));
     return true;
-  }
-
-  /// The i-th term of the Luby sequence (1,1,2,1,1,2,4,...), 1-indexed.
-  static long luby(long i) {
-    long k = 1;
-    while ((1L << k) - 1 < i) ++k;
-    while ((1L << k) - 1 != i) {
-      i -= (1L << (k - 1)) - 1;
-      k = 1;
-      while ((1L << k) - 1 < i) ++k;
-    }
-    return 1L << (k - 1);
-  }
-
-  /// Conflict budget of the k-th restart interval.
-  long restart_conflict_budget(long k) const {
-    const long unit = static_cast<long>(options_.restart_interval);
-    return options_.restart_luby ? unit * luby(k) : unit;
   }
 
   /// Builds, verifies and analyzes the bound clause an LP refutation
@@ -991,13 +938,13 @@ class Searcher {
   /// The shared warm engine's options: Devex pricing over the
   /// Forrest-Tomlin LU (the lp::SolveOptions defaults). Exact duals cost an
   /// extra BTRAN + pricing pass per optimal solve; only bound-based LP
-  /// learning consumes them, so they are requested only then.
+  /// learning consumes them, so they are requested only when the conflict
+  /// engine runs.
   static lp::SolveOptions node_lp_options(const Options& options) {
     lp::SolveOptions lp_options;
     lp_options.max_iterations = options.lp_iteration_limit;
-    lp_options.want_duals = options.lp_conflict_learning &&
-                            options.conflict_learning &&
-                            options.node_propagation;
+    lp_options.want_duals =
+        options.conflict_learning && options.node_propagation;
     return lp_options;
   }
 
@@ -1116,21 +1063,11 @@ class Searcher {
       const double distance = std::min(frac, 1.0 - frac);
       if (distance <= options_.integrality_tolerance) continue;
       if (rule == Branching::kInputOrder) return j;
-      bool weighted = false;
-      double score;
-      if (rule == Branching::kPseudocost) {
-        // Product rule over the two estimated child degradations.
-        const double down_gain = pseudocost(j, false) * frac;
-        const double up_gain = pseudocost(j, true) * (1.0 - frac);
-        score = std::max(down_gain, 1e-6) * std::max(up_gain, 1e-6);
-        weighted = model_.lp().variable(j).objective != 0.0;
-      } else {
-        // kActivity: highest conflict activity; the strict comparison
-        // below keeps the lowest index on ties, so an all-zero activity
-        // profile (no conflict yet, or learning off) degrades to input
-        // order.
-        score = conflict_.has_value() ? conflict_->variable_activity(j) : 0.0;
-      }
+      // Product rule over the two estimated child degradations.
+      const double down_gain = pseudocost(j, false) * frac;
+      const double up_gain = pseudocost(j, true) * (1.0 - frac);
+      const double score = std::max(down_gain, 1e-6) * std::max(up_gain, 1e-6);
+      const bool weighted = model_.lp().variable(j).objective != 0.0;
       if (best < 0 || (weighted && !best_weighted) ||
           (weighted == best_weighted && score > best_score)) {
         best_score = score;
@@ -1158,10 +1095,6 @@ class Searcher {
   /// node_propagation are both on.
   std::optional<ConflictEngine> conflict_;
   std::vector<ConflictEngine::Decision> decisions_;  ///< per-node scratch
-  long restart_threshold_ = 0;  ///< conflict budget of the open interval;
-                                ///< 0 = restarts off
-  long restart_baseline_ = 0;   ///< conflict count at the last restart
-  long restart_count_ = 0;      ///< restarts taken (Luby index)
   std::vector<double> lp_ray_scratch_;  ///< negated duals, bound-based learning
   std::vector<double> agg_;             ///< aggregated-certificate scratch
   std::vector<SavedBasis> basis_stack_;
@@ -1225,7 +1158,6 @@ Result solve_parallel_tree(const Model& model, const Options& options,
     result.conflicts += partial.conflicts;
     result.lp_conflicts += partial.lp_conflicts;
     result.lp_nogoods_learned += partial.lp_nogoods_learned;
-    result.restarts += partial.restarts;
     result.lp_deadline_abandons += partial.lp_deadline_abandons;
     result.nogoods_learned += partial.nogoods_learned;
     result.nogoods_deleted += partial.nogoods_deleted;
@@ -1461,7 +1393,6 @@ Result solve(const Model& model, const Options& options) {
   result.conflicts = searched.conflicts;
   result.lp_conflicts = searched.lp_conflicts;
   result.lp_nogoods_learned = searched.lp_nogoods_learned;
-  result.restarts = searched.restarts;
   result.lp_deadline_abandons = searched.lp_deadline_abandons;
   result.nogoods_learned = searched.nogoods_learned;
   result.nogoods_deleted = searched.nogoods_deleted;

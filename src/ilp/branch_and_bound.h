@@ -1,10 +1,12 @@
 // Branch-and-bound MILP solver over the lp:: simplex relaxation.
 //
 // The search pipeline is: root presolve (presolve.h) -> per-node bound
-// propagation (explained, with conflict-driven nogood learning and
+// propagation (explained, with conflict-driven nogood learning and optional
 // backjumping — conflict.h) -> warm-started dual-simplex LP
-// (lp::RevisedSimplex, one factorized basis shared by the whole tree) ->
-// pseudocost branching.
+// (lp::RevisedSimplex, one factorized basis shared by the whole tree), whose
+// refutations (Farkas rays, bound-pruning duals) learn nogoods too ->
+// pseudocost branching. There is one search configuration; the only
+// certify-time switch is Options::conflict_backjumping.
 // Nodes carry sparse bound deltas against the root instead of full bound
 // vectors, and a node LP that exhausts its pivot budget is re-queued with a
 // larger budget instead of silently giving up the optimality certificate.
@@ -64,13 +66,6 @@ enum class Branching {
   kAuto,
   kPseudocost,  ///< product rule over pseudocost estimates
   kInputOrder,  ///< first fractional variable in index order
-  /// Fractional variable with the highest conflict activity (bumped for
-  /// every variable of every learned clause, decayed per conflict), ties
-  /// to the lowest index. Pairs with restarts: after a restart the
-  /// activity profile redirects the fresh dive at the variables the
-  /// refutations implicated. Requires conflict_learning; falls back to
-  /// kInputOrder semantics while no activity has accumulated.
-  kActivity,
 };
 
 struct Options {
@@ -116,47 +111,30 @@ struct Options {
   bool budget_floor_rows = true;
 
   /// Conflict-driven nogood learning (conflict.h): node propagation runs
-  /// with explanations, refuted nodes are analyzed to a 1-UIP nogood, the
-  /// learned pool propagates at every later node, and the search backjumps
-  /// to the nogood's assertion level (discarding the pending siblings its
-  /// region covers). Requires node_propagation; off restores the PR-4
-  /// search bit-exactly (node counts and all).
+  /// with explanations, refuted nodes are analyzed to a 1-UIP nogood, and
+  /// the learned pool propagates at every later node. LP refutations learn
+  /// too: an infeasible node LP's Farkas ray — or, for a bound-pruned node,
+  /// the exact duals plus the cutoff row — is aggregated into one valid
+  /// bound clause over the node's local bounds, verified numerically, and
+  /// run through the same 1-UIP analysis. Requires node_propagation; off
+  /// gives the plain propagate-and-branch search (no duals computed).
   bool conflict_learning = true;
   /// Backjump to the assertion level after a conflict (discarding pending
   /// siblings and re-entering the prefix node, where the fresh nogood
   /// propagates the flipped bound). Without it conflicts still learn and
-  /// the pool still prunes, but the search backtracks plain-DFS. Off by
-  /// default: a backjump abandons the
-  /// completed-subtree bookkeeping of the DFS stack and re-explores
-  /// finished regions, which derails the input-order dives on structured
-  /// feasibility instances (measured: 5x5 cut-set certification 5.7 s ->
-  /// 63 s-and-uncertified). On refutation-heavy / stalled searches it is
-  /// the decisive lever — with it, bench_certify proves the 6x6 cut-set
-  /// minimum (= 4) in ~64 s where the PR-4 search exceeded 500 s without
-  /// an answer; the slow-certify CI job switches it on.
+  /// the pool still prunes, but the search backtracks plain-DFS. A
+  /// backjump abandons the completed-subtree bookkeeping of the DFS stack
+  /// and re-explores finished regions, which derails the input-order dives
+  /// on structured feasibility instances (5x5 cut-set certification: 132
+  /// nodes without, 478 with); on refutation-heavy searches it is the
+  /// decisive lever (6x6 cut-set certification proves the minimum of 4 in
+  /// 432 nodes with it, 3 356 without). No property of the model separates
+  /// the two, so it stays a switch: off by default, on in bench_certify
+  /// and the slow-certify CI job.
   bool conflict_backjumping = false;
   /// Learned-pool cap: past it, the least active half (LBD tiebreak) is
   /// deleted.
   int max_nogoods = 4000;
-  /// Learn from LP refutations too: an infeasible node LP's Farkas ray —
-  /// or, for a bound-pruned node, the exact duals plus the cutoff row —
-  /// is aggregated into one valid bound clause over the node's local
-  /// bounds, verified numerically, and run through the same 1-UIP
-  /// analysis as a propagation conflict. Requires conflict_learning (and
-  /// the serial/worker conflict path); off keeps the PR-8 search
-  /// bit-exactly, because duals are then never even computed.
-  bool lp_conflict_learning = false;
-  /// Luby-scheduled restarts: after restart_interval * Luby(k) conflicts
-  /// (propagation + LP) since the last restart, the serial search drops
-  /// its DFS stack and re-dives from the root, keeping the nogood pool,
-  /// activities, pseudocosts and incumbent. 0 disables (the default —
-  /// restarts change the tree shape and are opted into by the
-  /// refutation-heavy certify runs). Requires conflict_learning; ignored
-  /// by the multi-threaded tree search.
-  int restart_interval = 0;
-  /// Scale restart_interval by the Luby sequence (1,1,2,1,1,2,4,...);
-  /// false = fixed-interval restarts every restart_interval conflicts.
-  bool restart_luby = true;
   /// Test/diagnostic hook: sees every learned nogood at learning time
   /// (before any pool deletion). Not owned; may be null. With threads > 1
   /// the workers share the hook and calls are serialized by a mutex.
@@ -209,7 +187,6 @@ struct Result {
   long conflicts = 0;                ///< nodes refuted by explained propagation
   long lp_conflicts = 0;             ///< LP refutations analyzed into clauses
   long lp_nogoods_learned = 0;       ///< learned clauses carrying an LP ray
-  long restarts = 0;                 ///< Luby restarts taken
   long lp_deadline_abandons = 0;     ///< budget-truncated node LPs abandoned
                                      ///< (not retried) because the stop/
                                      ///< deadline token had already tripped

@@ -44,7 +44,6 @@ ConflictEngine::ConflictEngine(const Model& model,
   }
   pos_lower_.assign(static_cast<std::size_t>(n_), -1);
   pos_upper_.assign(static_cast<std::size_t>(n_), -1);
-  var_activity_.assign(static_cast<std::size_t>(n_), 0.0);
   row_dirty_.assign(static_cast<std::size_t>(prop_.row_count()), 0);
   var_nogoods_.resize(static_cast<std::size_t>(n_));
 }
@@ -667,11 +666,6 @@ void ConflictEngine::decay_activity() {
     for (Nogood& other : pool_) other.activity *= 1e-100;
     activity_inc_ *= 1e-100;
   }
-  var_activity_inc_ /= 0.95;
-  if (var_activity_inc_ > 1e100) {
-    for (double& a : var_activity_) a *= 1e-100;
-    var_activity_inc_ *= 1e-100;
-  }
 }
 
 void ConflictEngine::bump(int nogood_index) {
@@ -725,9 +719,6 @@ int ConflictEngine::find_duplicate(const Nogood& nogood) const {
 
 void ConflictEngine::learn(Nogood nogood) {
   if (observer_ != nullptr) observer_->on_learned(model_, nogood);
-  for (const BoundLit& lit : nogood.lits) {
-    var_activity_[static_cast<std::size_t>(lit.var)] += var_activity_inc_;
-  }
   nogood.activity = activity_inc_;
   sig_to_index_[signature(nogood)] = static_cast<int>(pool_.size());
   pool_.push_back(std::move(nogood));

@@ -153,13 +153,6 @@ class ConflictEngine {
                                     std::vector<double>& lower,
                                     std::vector<double>& upper);
 
-  /// Conflict activity of a variable: bumped for every variable in every
-  /// learned clause, decayed per conflict (MiniSat scheme). Drives the
-  /// Branching::kActivity tier.
-  double variable_activity(int var) const {
-    return var_activity_[static_cast<std::size_t>(var)];
-  }
-
   const ConflictStats& stats() const { return stats_; }
   /// Live pool (post-deletion); tests inspect it, the search never does.
   const std::vector<Nogood>& pool() const { return pool_; }
@@ -286,12 +279,6 @@ class ConflictEngine {
   /// every node instead (they act as globally valid bound tightenings).
   std::vector<int> root_unit_nogoods_;
   double activity_inc_ = 1.0;
-
-  /// Per-variable conflict activity (kActivity branching); decayed by the
-  /// same per-conflict schedule as the nogood activities but with its own
-  /// increment so the two rescale independently.
-  std::vector<double> var_activity_;
-  double var_activity_inc_ = 1.0;
 
   ConflictStats stats_;
 };

@@ -107,7 +107,9 @@ constexpr int kShardTrials = 4096;
 /// Outcome of one contiguous shard of trials at one fault count.
 struct ShardOutcome {
   int detected = 0;
-  /// Scenarios no vector detected, in trial order.
+  /// The first max_undetected_kept scenarios no vector detected, in trial
+  /// order. fold_shard keeps only a prefix of each shard's list, so the
+  /// rest could never reach a row.
   std::vector<FaultScenario> undetected;
   /// False when the shard was abandoned (stop token tripped mid-shard) or
   /// never ran; such outcomes are discarded, never folded.
@@ -148,10 +150,11 @@ ShardOutcome evaluate_shard(const BatchSimulator& batch,
   }
 
   outcome.detected = count - static_cast<int>(alive.size());
-  outcome.undetected.reserve(alive.size());
-  for (const int index : alive) {
+  const std::size_t kept = std::min(alive.size(), options.max_undetected_kept);
+  outcome.undetected.reserve(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
     outcome.undetected.push_back(
-        std::move(pool[static_cast<std::size_t>(index)]));
+        std::move(pool[static_cast<std::size_t>(alive[i])]));
   }
   outcome.completed = true;
   return outcome;
@@ -236,21 +239,6 @@ CampaignResult run_campaign_scalar(const Simulator& simulator,
     result.rows.push_back(std::move(row));
   }
   return result;
-}
-
-ParallelCampaignRunner::ParallelCampaignRunner(const grid::ValveArray& array,
-                                               int thread_count)
-    : array_(&array),
-      thread_count_(common::resolve_thread_count(thread_count)) {}
-
-CampaignResult ParallelCampaignRunner::run(
-    std::span<const TestVector> vectors,
-    const CampaignOptions& options) const {
-  const CatalogEntry entry{array_, vectors, options};
-  return std::move(
-      run_campaign_catalog(std::span<const CatalogEntry>(&entry, 1),
-                           thread_count_)
-          .front());
 }
 
 std::vector<CampaignResult> run_campaign_catalog(

@@ -7,7 +7,7 @@
 // Every trial draws its faults from its own counter-based RNG stream
 // (common::stream_seed of CampaignOptions::seed and the trial coordinates),
 // so the scalar oracle, the bit-parallel batched engine, and the
-// multi-threaded runner all see identical fault sets and produce
+// multi-threaded catalog all see identical fault sets and produce
 // bit-identical CampaignResults regardless of batching or thread count.
 #ifndef FPVA_SIM_CAMPAIGN_H
 #define FPVA_SIM_CAMPAIGN_H
@@ -106,31 +106,10 @@ CampaignResult run_campaign(const Simulator& simulator,
 
 /// Reference implementation: one scalar Simulator pass per trial. Kept as
 /// the differential-testing oracle for the batched engine; prefer
-/// run_campaign (or ParallelCampaignRunner) everywhere else.
+/// run_campaign (or run_campaign_catalog, threaded) everywhere else.
 CampaignResult run_campaign_scalar(const Simulator& simulator,
                                    std::span<const TestVector> vectors,
                                    const CampaignOptions& options = {});
-
-/// Shards the campaign's trial range across worker threads (via
-/// common::run_jobs), each worker with its own BatchSimulator. Because
-/// every trial owns its RNG stream and shards are merged in trial order,
-/// the CampaignResult is bit-identical for any thread count (including
-/// the single-threaded run_campaign).
-class ParallelCampaignRunner {
- public:
-  /// `thread_count` 0 means std::thread::hardware_concurrency().
-  explicit ParallelCampaignRunner(const grid::ValveArray& array,
-                                  int thread_count = 0);
-
-  int thread_count() const { return thread_count_; }
-
-  CampaignResult run(std::span<const TestVector> vectors,
-                     const CampaignOptions& options = {}) const;
-
- private:
-  const grid::ValveArray* array_;
-  int thread_count_;
-};
 
 /// One array's campaign inside a catalog run. The array and the vector
 /// span must outlive the run_campaign_catalog call.
@@ -140,12 +119,14 @@ struct CatalogEntry {
   CampaignOptions options;
 };
 
-/// Runs every entry's campaign in one process, flattening all entries'
-/// shard jobs into a single pool so workers stay busy across array
-/// boundaries (the tail shards of a small array overlap the head shards
-/// of the next). Results land at the entry's index and each is
-/// bit-identical to run_campaign on that entry alone, for any
-/// `thread_count` (0 means std::thread::hardware_concurrency()).
+/// The threaded campaign runner: shards every entry's trial range across
+/// worker threads (via common::run_jobs, one BatchSimulator per worker),
+/// flattening all entries' shard jobs into a single pool so workers stay
+/// busy across array boundaries (the tail shards of a small array overlap
+/// the head shards of the next). A single campaign is a one-entry catalog.
+/// Results land at the entry's index and each is bit-identical to
+/// run_campaign on that entry alone, for any `thread_count` (0 means
+/// std::thread::hardware_concurrency()).
 std::vector<CampaignResult> run_campaign_catalog(
     std::span<const CatalogEntry> entries, int thread_count = 0);
 

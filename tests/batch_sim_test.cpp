@@ -408,40 +408,14 @@ TEST(CampaignEquivalenceTest, MultiFaultCoverageMatchesScalarBruteForce) {
   }
 }
 
-TEST(ParallelCampaignTest, BitIdenticalAcrossThreadCounts) {
-  const auto array = grid::table1_array(5);
-  const Simulator simulator(array);
-  TestVector vector;
-  vector.states =
-      ValveStates(static_cast<std::size_t>(array.valve_count()), true);
-  vector.expected = simulator.expected(vector.states);
-  const TestVector vectors[] = {vector};
-  CampaignOptions options;
-  options.trials_per_count = 500;
-  options.max_faults = 4;
-  options.include_control_leaks = true;
-
-  const auto reference = run_campaign(simulator, vectors, options);
-  for (const int threads : {1, 4, 8}) {
-    const ParallelCampaignRunner runner(array, threads);
-    const auto result = runner.run(vectors, options);
-    ASSERT_EQ(result.rows.size(), reference.rows.size()) << threads;
-    for (std::size_t i = 0; i < result.rows.size(); ++i) {
-      EXPECT_EQ(result.rows[i].detected, reference.rows[i].detected)
-          << threads << " threads, row " << i;
-      EXPECT_EQ(result.rows[i].undetected_samples,
-                reference.rows[i].undetected_samples)
-          << threads << " threads, row " << i;
-    }
-  }
-}
-
 TEST(ParallelCampaignTest, CatalogMatchesPerArrayRuns) {
   // One sharded process over a whole catalog must reproduce each array's
-  // standalone campaign bit-for-bit, at any thread count.
-  const std::vector<grid::ValveArray> arrays = {grid::full_array(3, 3),
-                                                grid::table1_array(5),
-                                                grid::full_array(2, 5)};
+  // standalone campaign bit-for-bit, at any thread count. The last entry
+  // runs its own options (one all-open vector, four fault counts), so the
+  // catalog also covers entries that differ in more than the array.
+  const std::vector<grid::ValveArray> arrays = {
+      grid::full_array(3, 3), grid::table1_array(5), grid::full_array(2, 5),
+      grid::table1_array(5)};
   common::Rng rng(91);
   std::vector<std::vector<TestVector>> vectors;
   std::vector<CampaignResult> references;
@@ -450,26 +424,39 @@ TEST(ParallelCampaignTest, CatalogMatchesPerArrayRuns) {
   options.trials_per_count = 300;
   options.max_faults = 3;
   options.include_control_leaks = true;
-  for (const grid::ValveArray& array : arrays) {
+  std::vector<CampaignOptions> entry_options(arrays.size(), options);
+  entry_options.back().trials_per_count = 500;
+  entry_options.back().max_faults = 4;
+  for (std::size_t i = 0; i < arrays.size(); ++i) {
+    const grid::ValveArray& array = arrays[i];
     const Simulator simulator(array);
     std::vector<TestVector> array_vectors;
-    for (int i = 0; i < 3; ++i) {
+    if (i + 1 == arrays.size()) {
       TestVector vector;
-      vector.states = random_states(rng, array);
+      vector.states =
+          ValveStates(static_cast<std::size_t>(array.valve_count()), true);
       vector.expected = simulator.expected(vector.states);
       array_vectors.push_back(std::move(vector));
+    } else {
+      for (int v = 0; v < 3; ++v) {
+        TestVector vector;
+        vector.states = random_states(rng, array);
+        vector.expected = simulator.expected(vector.states);
+        array_vectors.push_back(std::move(vector));
+      }
     }
     vectors.push_back(std::move(array_vectors));
-    references.push_back(run_campaign(simulator, vectors.back(), options));
+    references.push_back(
+        run_campaign(simulator, vectors.back(), entry_options[i]));
   }
   for (std::size_t i = 0; i < arrays.size(); ++i) {
     CatalogEntry entry;
     entry.array = &arrays[i];
     entry.vectors = vectors[i];
-    entry.options = options;
+    entry.options = entry_options[i];
     entries.push_back(entry);
   }
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 4, 8}) {
     const auto results = run_campaign_catalog(entries, threads);
     ASSERT_EQ(results.size(), references.size()) << threads;
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -490,10 +477,51 @@ TEST(ParallelCampaignTest, CatalogMatchesPerArrayRuns) {
   }
 }
 
-TEST(ParallelCampaignTest, DefaultThreadCountIsPositive) {
-  const auto array = grid::full_array(3, 3);
-  const ParallelCampaignRunner runner(array);
-  EXPECT_GE(runner.thread_count(), 1);
+TEST(ParallelCampaignTest, UndetectedCapAgreesAcrossRunners) {
+  // Each shard keeps at most max_undetected_kept undetected scenarios. The
+  // cap must be exact for a row spanning several 4 096-trial shards: with
+  // nothing kept, with one kept, and with a cap that the first shard alone
+  // cannot fill, so the kept prefix runs into the second shard.
+  const auto array = grid::table1_array(5);
+  const Simulator simulator(array);
+  TestVector vector;
+  vector.states =
+      ValveStates(static_cast<std::size_t>(array.valve_count()), true);
+  vector.expected = simulator.expected(vector.states);
+  const TestVector vectors[] = {vector};
+  CampaignOptions options;
+  options.max_faults = 1;
+  options.max_undetected_kept = static_cast<std::size_t>(-1);
+  options.trials_per_count = 4096;
+  const std::size_t first_shard =
+      run_campaign(simulator, vectors, options).rows[0]
+          .undetected_samples.size();
+  options.trials_per_count = 3 * 4096 + 100;
+  const std::size_t all =
+      run_campaign(simulator, vectors, options).rows[0]
+          .undetected_samples.size();
+  ASSERT_GT(first_shard, 1u);
+  ASSERT_GT(all, first_shard + 1);
+
+  for (const std::size_t kept :
+       {std::size_t{0}, std::size_t{1}, (first_shard + all) / 2}) {
+    options.max_undetected_kept = kept;
+    const auto scalar = run_campaign_scalar(simulator, vectors, options);
+    const auto batched = run_campaign(simulator, vectors, options);
+    const CatalogEntry entry{&array, vectors, options};
+    const auto catalog = run_campaign_catalog({&entry, 1}, 4);
+    ASSERT_EQ(scalar.rows.size(), 1u);
+    EXPECT_EQ(scalar.rows[0].undetected_samples.size(), kept) << kept;
+    EXPECT_EQ(batched.rows[0].detected, scalar.rows[0].detected) << kept;
+    EXPECT_EQ(catalog.front().rows[0].detected, scalar.rows[0].detected)
+        << kept;
+    EXPECT_EQ(batched.rows[0].undetected_samples,
+              scalar.rows[0].undetected_samples)
+        << kept;
+    EXPECT_EQ(catalog.front().rows[0].undetected_samples,
+              scalar.rows[0].undetected_samples)
+        << kept;
+  }
 }
 
 TEST(CampaignStopTest, TrippedTokenInterruptsEveryRunner) {
@@ -522,8 +550,8 @@ TEST(CampaignStopTest, TrippedTokenInterruptsEveryRunner) {
   };
   check(run_campaign(simulator, vectors, options), "batched");
   check(run_campaign_scalar(simulator, vectors, options), "scalar");
-  const ParallelCampaignRunner runner(array, 4);
-  check(runner.run(vectors, options), "parallel");
+  const CatalogEntry entry{&array, vectors, options};
+  check(run_campaign_catalog({&entry, 1}, 4).front(), "catalog");
 }
 
 TEST(CampaignStopTest, UntrippedTokenChangesNothing) {

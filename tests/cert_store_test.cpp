@@ -136,7 +136,7 @@ TEST(CertStoreTest, VersionMismatchIsAPlainMiss) {
     std::ifstream in(path, std::ios::binary);
     text.assign(std::istreambuf_iterator<char>(in), {});
   }
-  ASSERT_EQ(text.rfind("fpva-cert 2 ", 0), 0u);
+  ASSERT_EQ(text.rfind("fpva-cert 3 ", 0), 0u);
   text.replace(0, 12, "fpva-cert 9 ");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);

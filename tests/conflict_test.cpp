@@ -449,10 +449,8 @@ TEST(LpConflictTest, FarkasRefutationLearnsCheckedClause) {
   on.probing = false;
   on.clique_cuts = false;
   on.branching = Branching::kInputOrder;  // dive s = 0 first (s is var 0)
-  on.lp_conflict_learning = true;
   on.conflict_observer = &observer;
   Options off = on;
-  off.lp_conflict_learning = false;
   off.conflict_learning = false;
   off.conflict_observer = nullptr;
 
@@ -468,32 +466,9 @@ TEST(LpConflictTest, FarkasRefutationLearnsCheckedClause) {
 
 // ------------------------------------------------------------ fuzz drivers
 
-/// The all-off configuration (LP learning and restarts disabled) must not
-/// even compute duals: search counters stay bit-identical to a build that
-/// never had the feature. Cheap canary for the "off keeps the prior search
-/// bit-exactly" contract the bench gate enforces at scale.
-TEST(LpConflictTest, DisabledLpLearningLeavesCountersUntouched) {
-  common::Rng rng(424243);
-  const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
-  Options base;
-  base.objective_is_integral = true;
-  Options off = base;
-  off.lp_conflict_learning = false;
-  off.restart_interval = 0;
-  const Result a = solve(model, base);
-  const Result b = solve(model, off);
-  EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.lp_pivots, b.lp_pivots);
-  EXPECT_EQ(a.conflicts, b.conflicts);
-  EXPECT_EQ(a.nogoods_learned, b.nogoods_learned);
-  EXPECT_EQ(a.objective, b.objective);
-  EXPECT_EQ(a.lp_conflicts, 0L);
-  EXPECT_EQ(a.lp_nogoods_learned, 0L);
-  EXPECT_EQ(a.restarts, 0L);
-}
-
-/// Random MIP: every nogood learned while solving must pass the checker,
-/// and learning must not change the optimum.
+/// Random MIP: every nogood learned while solving — LP-sourced ones
+/// included, with their lp_ray re-derivation — must pass the checker, and
+/// learning must not change the optimum.
 void fuzz_mip(std::uint64_t seed) {
   common::Rng rng(seed);
   const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
@@ -512,22 +487,6 @@ void fuzz_mip(std::uint64_t seed) {
     EXPECT_EQ(with.objective, without.objective) << "seed=" << seed;
     EXPECT_TRUE(model.is_feasible(with.values, 1e-6)) << "seed=" << seed;
   }
-  // LP-driven learning plus restarts: every LP-sourced nogood runs through
-  // the same checker (its lp_ray re-derivation included), and the optimum
-  // still matches the learning-off run.
-  CheckingObserver lp_observer("mip+lp seed=" + std::to_string(seed));
-  Options lp_learn = learn;
-  lp_learn.conflict_observer = &lp_observer;
-  lp_learn.lp_conflict_learning = true;
-  lp_learn.restart_interval = 4;
-  lp_learn.restart_luby = (seed % 3) != 0;
-  if ((seed % 5) == 0) lp_learn.branching = Branching::kActivity;
-  const Result lp = solve(model, lp_learn);
-  ASSERT_EQ(lp.status, without.status) << "seed=" << seed;
-  if (lp.status == ResultStatus::kOptimal) {
-    EXPECT_EQ(lp.objective, without.objective) << "seed=" << seed;
-    EXPECT_TRUE(model.is_feasible(lp.values, 1e-6)) << "seed=" << seed;
-  }
 }
 
 /// Random small chain/cut-set instance through the full paper pipeline.
@@ -542,8 +501,6 @@ void fuzz_chain_instance(std::uint64_t seed) {
   Options learn;
   learn.conflict_observer = &observer;
   learn.conflict_backjumping = rng.next_bool(0.5);
-  learn.lp_conflict_learning = rng.next_bool(0.5);
-  if (learn.lp_conflict_learning) learn.restart_interval = 8;
   Options off;
   off.conflict_learning = false;
   if (rng.next_bool(0.5)) {

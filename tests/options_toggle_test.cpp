@@ -139,38 +139,6 @@ TEST(OptionsToggleTest, SeedLiteralsPinProvablyZeroItem) {
   EXPECT_NEAR(seeded.values[static_cast<std::size_t>(oversized)], 0.0, 1e-6);
 }
 
-TEST(OptionsToggleTest, LpConflictLearningOn) {
-  // LP refutation learning: pruned-node Farkas/dual rays become nogoods.
-  Options options = integral_options();
-  options.lp_conflict_learning = true;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
-TEST(OptionsToggleTest, RestartScheduleSweep) {
-  // restart_interval > 0 arms restarts; restart_luby picks between the
-  // Luby sequence and a fixed conflict interval. An aggressive interval
-  // of 2 restarts constantly — the search must still certify the optimum.
-  for (const bool luby : {true, false}) {
-    Options options = integral_options();
-    options.lp_conflict_learning = true;
-    options.restart_interval = 2;
-    options.restart_luby = luby;
-    expect_knapsack_optimum(options);
-    expect_set_cover_optimum(options);
-  }
-}
-
-TEST(OptionsToggleTest, ActivityBranching) {
-  // Conflict-activity branching tier (pairs with restarts): falls back to
-  // input order until activities accumulate.
-  Options options = integral_options();
-  options.branching = Branching::kActivity;
-  options.lp_conflict_learning = true;
-  expect_knapsack_optimum(options);
-  expect_set_cover_optimum(options);
-}
-
 TEST(OptionsToggleTest, BudgetFloorRowsOff) {
   // budget_floor_rows is read by core/ilp_models during III-B-3 budget
   // escalation; both settings must certify the same cut-set minimum.

@@ -50,7 +50,6 @@ void expect_stages_equal(const std::vector<BudgetStage>& a,
     EXPECT_EQ(a[i].conflicts, b[i].conflicts) << "stage " << i;
     EXPECT_EQ(a[i].nogoods_learned, b[i].nogoods_learned) << "stage " << i;
     EXPECT_EQ(a[i].backjumps, b[i].backjumps) << "stage " << i;
-    EXPECT_EQ(a[i].restarts, b[i].restarts) << "stage " << i;
     EXPECT_EQ(a[i].lp_nogoods, b[i].lp_nogoods) << "stage " << i;
   }
 }
