@@ -3,7 +3,8 @@
 // complexity compared with the proposed method". The paper puts the
 // proposed method near 2*sqrt(n_v); here it measures N = 50 / 85 / 87 / 132
 // on 10x10 .. 30x30, above both 2*sqrt(n_v) (printed for reference) and the
-// paper's 26 / 44 / 70 / 98 -- see bench_table1 and ROADMAP item 4.
+// paper's 26 / 44 / 70 / 98 -- see bench_table1 and the ROADMAP item
+// "Make Table I true: ILP per subblock".
 #include <cmath>
 #include <iostream>
 

@@ -7,7 +7,8 @@
 // constructive engine replaces the commercial ILP solver. N does not match:
 // it measures 50 / 85 / 87 / 132 on 10x10 .. 30x30 against the paper's
 // 26 / 44 / 70 / 98, and sits above 2*sqrt(n_v) (about 27 / 41 / 55 / 83).
-// Per-subblock ILP covers, which would close the gap, are ROADMAP item 4.
+// Per-subblock ILP covers, which would close the gap, are the ROADMAP item
+// "Make Table I true: ILP per subblock".
 #include <iostream>
 
 #include "common/strings.h"
@@ -56,7 +57,7 @@ int main() {
   std::cout << table.to_string() << "\n";
   std::cout << "N exceeds the paper's from 10x10 up: the constructive "
                "covers are larger than the paper's ILP covers (per-subblock "
-               "ILP is ROADMAP item 4). The naive baseline needs 2*n_v "
-               "vectors (see bench_baseline).\n";
+               "ILP is the ROADMAP item \"Make Table I true\"). The naive "
+               "baseline needs 2*n_v vectors (see bench_baseline).\n";
   return 0;
 }

@@ -29,9 +29,10 @@
 // miss. A read-only or otherwise unusable directory turns save() into a
 // no-op returning false — campaigns still run, they just stop persisting.
 //
-// This store is the persistence seam for the ROADMAP item-3 service: the
-// server canonicalizes an incoming array to the same key and serves the
-// cached certificate chain on hit.
+// This store is the memo the per-subblock ILP covers are meant to use
+// (ROADMAP, "Make Table I true: ILP per subblock"): subblock shapes recur,
+// so a recurring shape canonicalizes to the same key and its certificate
+// chain is served from the store instead of being solved again.
 #ifndef FPVA_CORE_CERT_STORE_H
 #define FPVA_CORE_CERT_STORE_H
 

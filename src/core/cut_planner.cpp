@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -37,6 +38,14 @@ namespace {
 /// The valve-parity site between two adjacent posts.
 Site site_between_posts(Site a, Site b) {
   return Site{(a.row + b.row) / 2, (a.col + b.col) / 2};
+}
+
+/// The two end posts of a valve-parity site.
+std::pair<Site, Site> end_posts(Site site) {
+  if (site.row % 2 != 0) {
+    return {Site{site.row - 1, site.col}, Site{site.row + 1, site.col}};
+  }
+  return {Site{site.row, site.col - 1}, Site{site.row, site.col + 1}};
 }
 
 }  // namespace
@@ -101,10 +110,45 @@ CutPlanner::CutPlanner(const grid::ValveArray& array, Options options)
   post_rows_ = array.rows() + 1;
   post_cols_ = array.cols() + 1;
   arc_of_post_ = dual_boundary_arcs(array, &arc_count_);
+  const int post_count = post_rows_ * post_cols_;
+  arc_posts_.resize(static_cast<std::size_t>(arc_count_));
+  for (int p = 0; p < post_count; ++p) {
+    const int arc = arc_of_post_[static_cast<std::size_t>(p)];
+    if (arc >= 0) arc_posts_[static_cast<std::size_t>(arc)].push_back(p);
+  }
 
-  bfs_parent_.assign(static_cast<std::size_t>(post_rows_ * post_cols_), -1);
-  bfs_mark_.assign(static_cast<std::size_t>(post_rows_ * post_cols_), 0);
-  bfs_queue_.reserve(static_cast<std::size_t>(post_rows_ * post_cols_));
+  // The dual step table. A step is left out when no cut may ever cross
+  // it: an always-open channel cannot be closed, and a port gateway can
+  // never be part of a cut (walking along the boundary through walls is
+  // free).
+  const auto crossable = [&](Site site) {
+    if (array.site_kind(site) == grid::SiteKind::kChannel) return false;
+    for (const grid::Port& port : array.ports()) {
+      if (port.site == site) return false;
+    }
+    return true;
+  };
+  static constexpr int kSteps[][2] = {{0, 2}, {0, -2}, {2, 0}, {-2, 0}};
+  step_begin_.reserve(static_cast<std::size_t>(post_count) + 1);
+  steps_.reserve(4 * static_cast<std::size_t>(post_count));
+  step_begin_.push_back(0);
+  for (int p = 0; p < post_count; ++p) {
+    const Site post = post_site(p);
+    for (const auto& step : kSteps) {
+      const Site next{post.row + step[0], post.col + step[1]};
+      if (!array.in_bounds(next)) continue;
+      const Site site = site_between_posts(post, next);
+      if (!crossable(site)) continue;
+      steps_.push_back(Step{post_id(next), array.valve_id(site)});
+    }
+    step_begin_.push_back(static_cast<int>(steps_.size()));
+  }
+
+  post_mark_.assign(static_cast<std::size_t>(post_count), 0);
+  valve_mark_.assign(static_cast<std::size_t>(array.valve_count()), 0);
+  bfs_parent_.assign(static_cast<std::size_t>(post_count), -1);
+  bfs_mark_.assign(static_cast<std::size_t>(post_count), 0);
+  bfs_queue_.reserve(static_cast<std::size_t>(post_count));
 }
 
 int CutPlanner::post_id(Site post) const {
@@ -116,52 +160,22 @@ Site CutPlanner::post_site(int id) const {
   return Site{2 * (id / post_cols_), 2 * (id % post_cols_)};
 }
 
-bool CutPlanner::crossing_allowed(const Crossing& crossing,
-                                  const std::vector<bool>* avoid) const {
-  if (crossing.to_post < 0) return false;
-  const grid::SiteKind kind = array_->site_kind(crossing.site);
-  if (kind == grid::SiteKind::kChannel) return false;  // cannot be closed
-  if (array_->is_boundary_site(crossing.site)) {
-    // Walking along the boundary is free through walls but a port gateway
-    // can never be part of a cut.
-    for (const grid::Port& port : array_->ports()) {
-      if (port.site == crossing.site) return false;
-    }
-  }
-  if (avoid != nullptr) {
-    const grid::ValveId id = array_->valve_id(crossing.site);
-    if (id != grid::kInvalidValve &&
-        (*avoid)[static_cast<std::size_t>(id)]) {
-      return false;
-    }
-  }
-  return true;
+std::span<const CutPlanner::Step> CutPlanner::steps_from(int post) const {
+  const auto begin = static_cast<std::size_t>(
+      step_begin_[static_cast<std::size_t>(post)]);
+  const auto end = static_cast<std::size_t>(
+      step_begin_[static_cast<std::size_t>(post) + 1]);
+  return std::span<const Step>(steps_).subspan(begin, end - begin);
+}
+
+bool CutPlanner::crosses(const Step& step, const std::vector<bool>* avoid) {
+  return avoid == nullptr || step.valve == grid::kInvalidValve ||
+         !(*avoid)[static_cast<std::size_t>(step.valve)];
 }
 
 bool CutPlanner::is_terminal(int post, int start_arc) const {
   const int arc = arc_of_post_[static_cast<std::size_t>(post)];
   return arc >= 0 && arc != start_arc;
-}
-
-/// Enumerates the (up to four) dual steps from the post at
-/// `post_site_value`.
-static void enumerate_crossings(const grid::ValveArray& array, int post_cols,
-                                Site post_site_value,
-                                std::array<std::pair<int, Site>, 4>& out,
-                                int& out_count) {
-  out_count = 0;
-  static constexpr int kSteps[][2] = {{0, 2}, {0, -2}, {2, 0}, {-2, 0}};
-  for (const auto& step : kSteps) {
-    const Site next{post_site_value.row + step[0],
-                    post_site_value.col + step[1]};
-    if (next.row < 0 || next.col < 0 || next.row > 2 * array.rows() ||
-        next.col > 2 * array.cols()) {
-      continue;
-    }
-    const int next_id = (next.row / 2) * post_cols + (next.col / 2);
-    out[static_cast<std::size_t>(out_count++)] = {
-        next_id, site_between_posts(post_site_value, next)};
-  }
 }
 
 std::vector<int> CutPlanner::bfs_route(const std::vector<int>& from_set,
@@ -179,8 +193,6 @@ std::vector<int> CutPlanner::bfs_route(const std::vector<int>& from_set,
     bfs_parent_[static_cast<std::size_t>(post)] = -1;
     bfs_queue_.push_back(post);
   }
-  std::array<std::pair<int, Site>, 4> steps;
-  int step_count = 0;
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
     const int post = bfs_queue_[head];
     const bool arrived =
@@ -198,11 +210,9 @@ std::vector<int> CutPlanner::bfs_route(const std::vector<int>& from_set,
       std::reverse(route.begin(), route.end());
       return route;
     }
-    enumerate_crossings(*array_, post_cols_, post_site(post), steps,
-                                step_count);
-    for (int k = 0; k < step_count; ++k) {
-      const auto& [next, site] = steps[static_cast<std::size_t>(k)];
-      if (!crossing_allowed(Crossing{next, site}, avoid)) continue;
+    for (const Step& step : steps_from(post)) {
+      if (!crosses(step, avoid)) continue;
+      const int next = step.to;
       if (visited[static_cast<std::size_t>(next)]) continue;
       if (bfs_mark_[static_cast<std::size_t>(next)] == bfs_epoch_) continue;
       bfs_mark_[static_cast<std::size_t>(next)] = bfs_epoch_;
@@ -221,15 +231,10 @@ bool CutPlanner::reachable_arc(int from, int start_arc,
   bfs_queue_.clear();
   bfs_mark_[static_cast<std::size_t>(from)] = bfs_epoch_;
   bfs_queue_.push_back(from);
-  std::array<std::pair<int, Site>, 4> steps;
-  int step_count = 0;
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-    const int post = bfs_queue_[head];
-    enumerate_crossings(*array_, post_cols_, post_site(post), steps,
-                                step_count);
-    for (int k = 0; k < step_count; ++k) {
-      const auto& [next, site] = steps[static_cast<std::size_t>(k)];
-      if (!crossing_allowed(Crossing{next, site}, avoid)) continue;
+    for (const Step& step : steps_from(bfs_queue_[head])) {
+      if (!crosses(step, avoid)) continue;
+      const int next = step.to;
       if (is_terminal(next, start_arc)) return true;
       if (visited[static_cast<std::size_t>(next)]) continue;
       if (bfs_mark_[static_cast<std::size_t>(next)] == bfs_epoch_) continue;
@@ -329,7 +334,7 @@ CutPlanner::CoverResult CutPlanner::cover(const std::vector<bool>& targets) {
       }
     }
     if (seed == grid::kInvalidValve) break;
-    auto cut = build_cut(seed, wanted, nullptr);
+    auto cut = build_cut(seed, wanted, nullptr, nullptr);
     if (!cut.has_value()) {
       abandoned[static_cast<std::size_t>(seed)] = true;
       continue;
@@ -349,28 +354,24 @@ CutPlanner::CoverResult CutPlanner::cover(const std::vector<bool>& targets) {
 
 std::optional<CutSet> CutPlanner::cut_through(grid::ValveId through,
                                               const std::vector<bool>* avoid) {
-  std::vector<bool> wanted(static_cast<std::size_t>(array_->valve_count()),
-                           false);
-  wanted[static_cast<std::size_t>(through)] = true;
-  return build_cut(through, wanted, avoid);
+  return first_cut(through, avoid, nullptr, nullptr);
 }
 
-std::vector<CutSet> CutPlanner::cut_variants(grid::ValveId through,
-                                             const std::vector<bool>* avoid,
-                                             const std::vector<bool>* wanted) {
+std::optional<CutSet> CutPlanner::first_cut(grid::ValveId through,
+                                            const std::vector<bool>* avoid,
+                                            const std::vector<bool>* wanted,
+                                            const Accept& accept) {
   std::vector<bool> mask(static_cast<std::size_t>(array_->valve_count()),
                          false);
   if (wanted != nullptr) mask = *wanted;
   mask[static_cast<std::size_t>(through)] = true;
-  std::vector<CutSet> variants;
-  build_cut(through, mask, avoid, &variants);
-  return variants;
+  return build_cut(through, mask, avoid, accept);
 }
 
 std::optional<CutSet> CutPlanner::build_cut(grid::ValveId seed_valve,
                                             const std::vector<bool>& wanted,
                                             const std::vector<bool>* avoid,
-                                            std::vector<CutSet>* all_variants) {
+                                            const Accept& accept) {
   if (avoid != nullptr && (*avoid)[static_cast<std::size_t>(seed_valve)]) {
     return std::nullopt;
   }
@@ -388,12 +389,8 @@ std::optional<CutSet> CutPlanner::build_cut(grid::ValveId seed_valve,
 
   const int post_count = post_rows_ * post_cols_;
   for (int start_arc = 0; start_arc < arc_count_; ++start_arc) {
-    std::vector<int> arc_posts;
-    for (int p = 0; p < post_count; ++p) {
-      if (arc_of_post_[static_cast<std::size_t>(p)] == start_arc) {
-        arc_posts.push_back(p);
-      }
-    }
+    const std::vector<int>& arc_posts =
+        arc_posts_[static_cast<std::size_t>(start_arc)];
     if (arc_posts.empty()) continue;
     for (int orientation = 0; orientation < 2; ++orientation) {
       const int first = post_id(orientation == 0 ? post_a : post_b);
@@ -416,35 +413,25 @@ std::optional<CutSet> CutPlanner::build_cut(grid::ValveId seed_valve,
       }
       if (!snake(walk, wanted, avoid)) continue;
       auto cut = finalize(walk, avoid);
-      if (!cut.has_value()) continue;
-      if (all_variants == nullptr) return cut;
-      all_variants->push_back(std::move(*cut));
+      if (cut.has_value() && (!accept || accept(*cut))) return cut;
     }
-  }
-  if (all_variants != nullptr && !all_variants->empty()) {
-    return all_variants->front();
   }
   return std::nullopt;
 }
 
 bool CutPlanner::snake(Walk& walk, const std::vector<bool>& wanted,
                        const std::vector<bool>* avoid) {
-  std::array<std::pair<int, Site>, 4> steps;
-  int step_count = 0;
   int last_step = 0;
   while (!is_terminal(walk.head(), walk.start_arc)) {
     const int head = walk.head();
-    enumerate_crossings(*array_, post_cols_, post_site(head), steps,
-                                step_count);
     int best_to = -1;
     int best_score = -1;
-    for (int k = 0; k < step_count; ++k) {
-      const auto& [next, site] = steps[static_cast<std::size_t>(k)];
-      if (!crossing_allowed(Crossing{next, site}, avoid)) continue;
+    for (const Step& step : steps_from(head)) {
+      if (!crosses(step, avoid)) continue;
+      const int next = step.to;
       if (walk.visited[static_cast<std::size_t>(next)]) continue;
-      const grid::ValveId id = array_->valve_id(site);
-      const bool covers =
-          id != grid::kInvalidValve && wanted[static_cast<std::size_t>(id)];
+      const bool covers = step.valve != grid::kInvalidValve &&
+                          wanted[static_cast<std::size_t>(step.valve)];
       if (!covers) continue;
       if (is_terminal(next, walk.start_arc)) {
         walk.push(next);
@@ -489,20 +476,15 @@ bool CutPlanner::detour(Walk& walk, const std::vector<bool>& wanted,
   bfs_mark_[static_cast<std::size_t>(start)] = bfs_epoch_;
   bfs_parent_[static_cast<std::size_t>(start)] = -1;
   bfs_queue_.push_back(start);
-  std::array<std::pair<int, Site>, 4> steps;
-  int step_count = 0;
   std::vector<int> candidates;
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
     const int post = bfs_queue_[head];
-    enumerate_crossings(*array_, post_cols_, post_site(post), steps,
-                                step_count);
     bool borders_wanted = false;
-    for (int k = 0; k < step_count; ++k) {
-      const auto& [next, site] = steps[static_cast<std::size_t>(k)];
-      if (!crossing_allowed(Crossing{next, site}, avoid)) continue;
-      const grid::ValveId id = array_->valve_id(site);
-      if (id != grid::kInvalidValve &&
-          wanted[static_cast<std::size_t>(id)] &&
+    for (const Step& step : steps_from(post)) {
+      if (!crosses(step, avoid)) continue;
+      const int next = step.to;
+      if (step.valve != grid::kInvalidValve &&
+          wanted[static_cast<std::size_t>(step.valve)] &&
           !walk.visited[static_cast<std::size_t>(next)]) {
         borders_wanted = true;
       }
@@ -536,18 +518,14 @@ bool CutPlanner::detour(Walk& walk, const std::vector<bool>& wanted,
   for (const std::vector<int>& route : routes) {
     const std::size_t snapshot = walk.posts.size();
     for (const int post : route) walk.push(post);
-    const int head = walk.head();
-    enumerate_crossings(*array_, post_cols_, post_site(head), steps,
-                                step_count);
     bool usable = false;
-    for (int k = 0; k < step_count && !usable; ++k) {
-      const auto& [next, site] = steps[static_cast<std::size_t>(k)];
-      if (!crossing_allowed(Crossing{next, site}, avoid)) continue;
-      const grid::ValveId id = array_->valve_id(site);
-      if (id == grid::kInvalidValve ||
-          !wanted[static_cast<std::size_t>(id)]) {
+    for (const Step& step : steps_from(walk.head())) {
+      if (!crosses(step, avoid)) continue;
+      if (step.valve == grid::kInvalidValve ||
+          !wanted[static_cast<std::size_t>(step.valve)]) {
         continue;
       }
+      const int next = step.to;
       if (walk.visited[static_cast<std::size_t>(next)]) continue;
       if (is_terminal(next, walk.start_arc)) {
         usable = true;
@@ -556,6 +534,7 @@ bool CutPlanner::detour(Walk& walk, const std::vector<bool>& wanted,
       walk.visited[static_cast<std::size_t>(next)] = 1;
       usable = reachable_arc(next, walk.start_arc, walk.visited, avoid);
       walk.visited[static_cast<std::size_t>(next)] = 0;
+      if (usable) break;
     }
     if (usable) return true;
     walk.truncate(snapshot);
@@ -583,33 +562,41 @@ std::optional<CutSet> CutPlanner::finalize(
 }
 
 void CutPlanner::make_chordless(CutSet& cut) const {
-  std::set<Site> in_cut(cut.sites.begin(), cut.sites.end());
-  std::set<Site> on_curve;  // posts touched by the curve
+  // Mark the posts the curve touches and the valves already in the cut.
+  ++mark_epoch_;
+  curve_posts_.clear();
   for (const Site site : cut.sites) {
-    if (site.row % 2 != 0) {
-      on_curve.insert(Site{site.row - 1, site.col});
-      on_curve.insert(Site{site.row + 1, site.col});
-    } else {
-      on_curve.insert(Site{site.row, site.col - 1});
-      on_curve.insert(Site{site.row, site.col + 1});
+    const auto [a, b] = end_posts(site);
+    for (const int post : {post_id(a), post_id(b)}) {
+      int& mark = post_mark_[static_cast<std::size_t>(post)];
+      if (mark == mark_epoch_) continue;
+      mark = mark_epoch_;
+      curve_posts_.push_back(post);
+    }
+    const grid::ValveId id = array_->valve_id(site);
+    if (id != grid::kInvalidValve) {
+      valve_mark_[static_cast<std::size_t>(id)] = mark_epoch_;
     }
   }
-  // Absorb any valve whose both end posts lie on the curve (constraint (9)).
-  // Channels cannot be absorbed; validate_cut_set decides if that matters.
-  for (const Site site : array_->valves()) {
-    if (in_cut.count(site)) continue;
-    Site a, b;
-    if (site.row % 2 != 0) {
-      a = Site{site.row - 1, site.col};
-      b = Site{site.row + 1, site.col};
-    } else {
-      a = Site{site.row, site.col - 1};
-      b = Site{site.row, site.col + 1};
+  // A chord joins two curve posts, so it is a step out of a curve post.
+  // Channels are no steps and cannot be absorbed; validate_cut_set decides
+  // if that matters.
+  std::vector<grid::ValveId> chords;
+  for (const int post : curve_posts_) {
+    for (const Step& step : steps_from(post)) {
+      if (step.valve == grid::kInvalidValve ||
+          post_mark_[static_cast<std::size_t>(step.to)] != mark_epoch_) {
+        continue;
+      }
+      int& mark = valve_mark_[static_cast<std::size_t>(step.valve)];
+      if (mark == mark_epoch_) continue;  // in the cut, or found already
+      mark = mark_epoch_;
+      chords.push_back(step.valve);
     }
-    if (on_curve.count(a) && on_curve.count(b)) {
-      cut.sites.push_back(site);
-      in_cut.insert(site);
-    }
+  }
+  std::sort(chords.begin(), chords.end());
+  for (const grid::ValveId id : chords) {
+    cut.sites.push_back(array_->valves()[static_cast<std::size_t>(id)]);
   }
 }
 
@@ -643,13 +630,12 @@ std::optional<CutSet> find_detecting_cut(CutPlanner& planner,
   std::vector<bool> avoid(static_cast<std::size_t>(array.valve_count()),
                           false);
   int attempts = 0;
-  const auto probe =
-      [&](const std::vector<bool>* mask) -> std::optional<CutSet> {
-    for (const CutSet& cut : planner.cut_variants(valve, mask, wanted)) {
-      const auto vector = to_test_vector(array, simulator, cut, "probe");
-      if (simulator.detects(vector, fault)) return cut;
-    }
-    return std::nullopt;
+  const CutPlanner::Accept detects = [&](const CutSet& cut) {
+    return simulator.detects(to_test_vector(array, simulator, cut, "probe"),
+                             fault);
+  };
+  const auto probe = [&](const std::vector<bool>* mask) {
+    return planner.first_cut(valve, mask, wanted, detects);
   };
 
   if (auto cut = probe(nullptr); cut.has_value()) return cut;

@@ -20,10 +20,18 @@
 // valve lie on the cut curve, the valve must belong to the cut -- is the
 // requirement that the dual path be chordless; make_chordless() enforces it
 // by absorbing chord valves into the cut.
+//
+// The planner walks the dual grid through a step table built once per
+// array: for every post, the (up to four) steps to its neighbour posts that
+// a cut may cross -- not an always-open channel, not a port gateway -- each
+// with the post it reaches and the valve it crosses. Routing, the snake and
+// chord absorption read that table instead of classifying sites per step.
 #ifndef FPVA_CORE_CUT_PLANNER_H
 #define FPVA_CORE_CUT_PLANNER_H
 
+#include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/cut_set.h"
@@ -80,31 +88,40 @@ class CutPlanner {
   std::optional<CutSet> cut_through(grid::ValveId through,
                                     const std::vector<bool>* avoid = nullptr);
 
-  /// All structurally distinct cuts through `through` the planner can
-  /// produce (one per crossing orientation and start arc). A cut whose
-  /// vector masks the target's own leak (Fig. 5(d)) is still returned;
-  /// find_detecting_cut() filters behaviorally. When `wanted` is given the
+  /// Decides whether a finished cut variant is taken.
+  using Accept = std::function<bool(const CutSet&)>;
+
+  /// The first cut through `through` that `accept` takes, trying the
+  /// planner's variants in order (per start arc, both crossing
+  /// orientations) and building each only when the ones before it were
+  /// refused; std::nullopt when none is taken. Variants are structurally
+  /// valid, but one may still mask the target's own leak (Fig. 5(d)), so
+  /// find_detecting_cut() accepts by simulation. When `wanted` is given the
   /// dual snake chains through those valves too, so one cut can retest many
   /// still-uncovered valves.
-  std::vector<CutSet> cut_variants(grid::ValveId through,
-                                   const std::vector<bool>* avoid = nullptr,
-                                   const std::vector<bool>* wanted = nullptr);
+  std::optional<CutSet> first_cut(grid::ValveId through,
+                                  const std::vector<bool>* avoid,
+                                  const std::vector<bool>* wanted,
+                                  const Accept& accept);
 
   /// Absorbs chord valves (both end posts on the curve, valve not in the
-  /// cut) into `cut` -- the paper's constraint (9).
+  /// cut) into `cut` -- the paper's constraint (9) -- appending them in
+  /// ascending ValveId order. Scans only the steps out of the curve's
+  /// posts, not every valve of the array.
   void make_chordless(CutSet& cut) const;
 
  private:
-  struct Crossing {
-    int to_post = -1;
-    grid::Site site;  ///< the valve-parity site this dual step crosses
+  /// A dual step out of a post that a cut may cross.
+  struct Step {
+    int to = -1;                                ///< post reached
+    grid::ValveId valve = grid::kInvalidValve;  ///< invalid for a wall
   };
   struct Walk;
 
   int post_id(grid::Site post) const;
   grid::Site post_site(int id) const;
-  bool crossing_allowed(const Crossing& crossing,
-                        const std::vector<bool>* avoid) const;
+  std::span<const Step> steps_from(int post) const;
+  static bool crosses(const Step& step, const std::vector<bool>* avoid);
   bool is_terminal(int post, int arc) const;
   std::vector<int> bfs_route(const std::vector<int>& from_set, int goal_arc,
                              int goal_post, const std::vector<char>& visited,
@@ -114,7 +131,7 @@ class CutPlanner {
   std::optional<CutSet> build_cut(grid::ValveId seed_valve,
                                   const std::vector<bool>& wanted,
                                   const std::vector<bool>* avoid,
-                                  std::vector<CutSet>* all_variants = nullptr);
+                                  const Accept& accept);
   bool snake(Walk& walk, const std::vector<bool>& wanted,
              const std::vector<bool>* avoid);
   bool detour(Walk& walk, const std::vector<bool>& wanted,
@@ -128,6 +145,13 @@ class CutPlanner {
   int post_cols_ = 0;
   std::vector<int> arc_of_post_;  ///< boundary arc id per post, -1 interior
   int arc_count_ = 0;
+  std::vector<std::vector<int>> arc_posts_;  ///< posts of each arc, by id
+  std::vector<int> step_begin_;  ///< per post, its first entry in steps_
+  std::vector<Step> steps_;      ///< {0,+2}, {0,-2}, {+2,0}, {-2,0} order
+  mutable std::vector<int> curve_posts_;  // scratch for make_chordless
+  mutable std::vector<int> post_mark_;    // scratch, epoch-based
+  mutable std::vector<int> valve_mark_;   // scratch, epoch-based
+  mutable int mark_epoch_ = 0;
   mutable std::vector<int> bfs_parent_;
   mutable std::vector<int> bfs_queue_;
   mutable std::vector<int> bfs_mark_;
@@ -135,11 +159,13 @@ class CutPlanner {
 };
 
 /// A cut through `valve` whose test vector behaviorally detects the valve's
-/// stuck-at-1 fault. A first cut may mask the very leak it targets (e.g. it
-/// also closes the only feed into the valve's upstream cell); this helper
-/// retries with growing avoid masks -- excluding cut valves that share a
-/// cell with `valve` -- until a detecting shape is found or `max_attempts`
-/// shapes have been rejected.
+/// stuck-at-1 fault. A cut may mask the very leak it targets (e.g. it also
+/// closes the only feed into the valve's upstream cell), so each attempt
+/// takes CutPlanner::first_cut() with the simulator as the judge: the first
+/// variant whose vector detects the fault wins and later variants are never
+/// built. Attempts after the first avoid the valves that share a cell with
+/// `valve`, each in turn and then all at once, until a detecting shape is
+/// found or `max_attempts` attempts have failed.
 std::optional<CutSet> find_detecting_cut(CutPlanner& planner,
                                          const sim::Simulator& simulator,
                                          grid::ValveId valve,

@@ -208,6 +208,30 @@ bool PathPlanner::reachable(int from, int goal,
   return false;
 }
 
+void PathPlanner::mark_sink_side(int sink, const std::vector<char>& visited,
+                                 const std::vector<bool>* avoid) const {
+  // One BFS backwards from the sink. Links come in symmetric pairs and
+  // link_allowed() looks only at the valve, so a node is reached here
+  // exactly when reachable(node, sink, ...) would find the sink from it.
+  ++bfs_epoch_;
+  bfs_queue_.clear();
+  bfs_mark_[static_cast<std::size_t>(sink)] = bfs_epoch_;
+  bfs_queue_.push_back(sink);
+  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+    const int node = bfs_queue_[head];
+    const int begin = link_begin_[static_cast<std::size_t>(node)];
+    const int end = link_begin_[static_cast<std::size_t>(node) + 1];
+    for (int k = begin; k < end; ++k) {
+      const Link& link = links_[static_cast<std::size_t>(k)];
+      if (!link_allowed(link, avoid)) continue;
+      if (visited[static_cast<std::size_t>(link.to)]) continue;
+      if (bfs_mark_[static_cast<std::size_t>(link.to)] == bfs_epoch_) continue;
+      bfs_mark_[static_cast<std::size_t>(link.to)] = bfs_epoch_;
+      bfs_queue_.push_back(link.to);
+    }
+  }
+}
+
 PathPlanner::CoverResult PathPlanner::cover(const std::vector<bool>& targets) {
   std::vector<bool> covered(static_cast<std::size_t>(array_->valve_count()),
                             false);
@@ -339,17 +363,21 @@ void PathPlanner::snake(Walk& walk, const std::vector<bool>& wanted,
     const int end = link_begin_[static_cast<std::size_t>(head) + 1];
     int best_link = -1;
     int best_score = -1;
+    bool sink_side_marked = false;
     for (int k = begin; k < end; ++k) {
       const Link& link = links_[static_cast<std::size_t>(k)];
       if (!link_allowed(link, avoid)) continue;
       if (link.to == walk.sink_node) continue;  // only enter to finish
       if (walk.visited[static_cast<std::size_t>(link.to)]) continue;
       if (!wanted[static_cast<std::size_t>(link.valve)]) continue;
-      walk.visited[static_cast<std::size_t>(link.to)] = 1;
-      const bool safe =
-          reachable(link.to, walk.sink_node, walk.visited, avoid);
-      walk.visited[static_cast<std::size_t>(link.to)] = 0;
-      if (!safe) continue;
+      // Stepping onto link.to keeps the sink reachable iff link.to reaches
+      // it through unvisited nodes: one sink-side mark answers every
+      // candidate of this step.
+      if (!sink_side_marked) {
+        mark_sink_side(walk.sink_node, walk.visited, avoid);
+        sink_side_marked = true;
+      }
+      if (bfs_mark_[static_cast<std::size_t>(link.to)] != bfs_epoch_) continue;
       const int score =
           (link.to_cell - link.from_cell == last_delta) ? 1 : 0;
       if (score > best_score) {

@@ -7,8 +7,10 @@
 //   1. seed: route from the source to a still-uncovered valve and cross it;
 //   2. snake: repeatedly step through adjacent uncovered valves, preferring
 //      to continue straight (which yields the serpentine shapes of
-//      Fig. 8(a)) while guarding that the sink stays reachable through
-//      unvisited cells;
+//      Fig. 8(a)). A step may only enter a cell that still reaches the sink
+//      through unvisited cells; one BFS backwards from the sink marks those
+//      cells once per step, and every candidate step is answered from the
+//      mark;
 //   3. detour: when no adjacent uncovered valve remains, walk to the
 //      nearest cell that still borders one;
 //   4. finish: close the path to the sink through unvisited cells.
@@ -94,6 +96,10 @@ class PathPlanner {
                              const std::vector<bool>* avoid) const;
   bool reachable(int from, int goal, const std::vector<char>& visited,
                  const std::vector<bool>* avoid) const;
+  /// Marks (bfs_mark_ == bfs_epoch_) every node that reaches `sink`
+  /// through unvisited nodes.
+  void mark_sink_side(int sink, const std::vector<char>& visited,
+                      const std::vector<bool>* avoid) const;
 
   std::optional<FlowPath> build_path(grid::ValveId seed_valve,
                                      const std::vector<bool>& wanted,

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 
 #include "core/cut_planner.h"
+#include "core/generator.h"
 #include "grid/builder.h"
 #include "grid/presets.h"
 
@@ -145,24 +148,99 @@ TEST(CutPlannerTest, CutThroughRespectsAvoid) {
 }
 
 TEST(CutPlannerTest, ChordlessAbsorbsBracketedValves) {
-  // Construct a cut with a deliberate chord: a U-shaped dual path whose
-  // opening brackets one valve. make_chordless must absorb it.
+  // The U-shaped dual path (2,2)->(4,2)->(4,4)->(2,4) crosses sites (3,2),
+  // (4,3) and (3,4). Its open ends, posts (2,2) and (2,4), are the two end
+  // posts of the valve at site (2,3): that valve is a chord of the curve,
+  // and constraint (9) makes make_chordless absorb it.
   const auto array = grid::full_array(3, 3);
   CutPlanner planner(array);
   CutSet cut;
-  // Dual posts (0,2)->(2,2)->(2,4)->(0,4) cross sites (1,2),(2,3),(1,4):
-  // posts (0,2) and (0,4) are both on the top boundary -- and the valve at
-  // site (0,3) is a boundary wall, not a valve, so instead bracket an
-  // interior valve: posts (2,2),(4,2),(4,4),(2,4) have interior valve (3,3)
-  // between (2,2)... actually between posts (2,2)-(2,4) lies (2,3) and
-  // between (4,2)-(4,4) lies (4,3); the bracketed chord of the U
-  // (2,2)->(4,2)->(4,4)->(2,4) is site (2,3) -- wait, that U crosses
-  // (3,2),(4,3),(3,4) and brackets (2,3).
   cut.sites = {Site{3, 2}, Site{4, 3}, Site{3, 4}};
   planner.make_chordless(cut);
   EXPECT_NE(std::find(cut.sites.begin(), cut.sites.end(), (Site{2, 3})),
             cut.sites.end());
 }
+
+/// The two end posts of a valve-parity site.
+std::pair<Site, Site> end_posts(Site site) {
+  if (site.row % 2 != 0) {
+    return {Site{site.row - 1, site.col}, Site{site.row + 1, site.col}};
+  }
+  return {Site{site.row, site.col - 1}, Site{site.row, site.col + 1}};
+}
+
+/// Oracle for CutPlanner::make_chordless: scan every valve of the array in
+/// ValveId (row-major) order and append each one that is not in the cut
+/// and has both end posts on the curve.
+void chordless_by_full_scan(const grid::ValveArray& array, CutSet& cut) {
+  std::set<Site> in_cut(cut.sites.begin(), cut.sites.end());
+  std::set<Site> on_curve;
+  for (const Site site : cut.sites) {
+    const auto [a, b] = end_posts(site);
+    on_curve.insert(a);
+    on_curve.insert(b);
+  }
+  for (const Site site : array.valves()) {
+    if (in_cut.count(site)) continue;
+    const auto [a, b] = end_posts(site);
+    if (on_curve.count(a) && on_curve.count(b)) {
+      cut.sites.push_back(site);
+      in_cut.insert(site);
+    }
+  }
+}
+
+grid::ValveArray oracle_layout(const std::string& name) {
+  if (name == "full_6x6") return grid::full_array(6, 6);
+  if (name == "table1_5") return grid::table1_array(5);
+  if (name == "table1_10") return grid::table1_array(10);
+  return grid::LayoutBuilder(6, 6)  // "channel_cross"
+      .channel_run(Site{5, 4}, Site{5, 8})
+      .channel_run(Site{6, 7}, Site{8, 7})
+      .default_ports()
+      .build();
+}
+
+class ChordlessOracleSweep : public ::testing::TestWithParam<std::string> {};
+
+// Every cut the generator emits, with and without constraint (9), and each
+// of its one-site-short copies (the dropped site becomes a chord when both
+// of its posts stay on the curve): the planner must absorb the same chords
+// in the same order as the full scan.
+TEST_P(ChordlessOracleSweep, MatchesFullValveScan) {
+  const grid::ValveArray array = oracle_layout(GetParam());
+  const CutPlanner planner(array);
+  int chords = 0;
+  for (const bool exclusion : {true, false}) {
+    GeneratorOptions options;
+    options.two_fault_exclusion = exclusion;
+    options.generate_leak_vectors = false;
+    const auto set = generate_test_set(array, options);
+    ASSERT_FALSE(set.cuts.empty());
+    for (const CutSet& emitted : set.cuts) {
+      for (std::size_t drop = 0; drop <= emitted.sites.size(); ++drop) {
+        CutSet input = emitted;
+        if (drop < input.sites.size()) {
+          input.sites.erase(input.sites.begin() +
+                            static_cast<std::ptrdiff_t>(drop));
+        }
+        CutSet expected = input;
+        chordless_by_full_scan(array, expected);
+        CutSet actual = input;
+        planner.make_chordless(actual);
+        ASSERT_EQ(actual.sites, expected.sites)
+            << "exclusion=" << exclusion << " drop=" << drop;
+        chords += static_cast<int>(expected.sites.size() - input.sites.size());
+      }
+    }
+  }
+  EXPECT_GT(chords, 0);  // the sweep exercised real absorption
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, ChordlessOracleSweep,
+                         ::testing::Values("full_6x6", "table1_5", "table1_10",
+                                           "channel_cross"),
+                         [](const auto& instance) { return instance.param; });
 
 TEST(CutSetTest, ValidateRejectsNonSeparatingSets) {
   const auto array = grid::full_array(3, 3);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <string>
 
 #include "core/generator.h"
 #include "core/report.h"
@@ -95,7 +98,7 @@ TEST_P(GeneratorSweep, FullSingleFaultCoverage) {
 
 INSTANTIATE_TEST_SUITE_P(Table1, GeneratorSweep, ::testing::Values(5, 10));
 
-TEST(GeneratorTest, VectorCountsScaleLikeTwoSqrtNv) {
+TEST(GeneratorTest, VectorCountsStayBelowBlowUpCeilings) {
   // Measured: the default (flat) generator emits N = 45 vectors on this
   // preset (n_v = 176), about 3.4*sqrt(n_v); the paper's Table I reports
   // 26 (~2*sqrt(n_v)). The bounds are generous ceilings that catch a
@@ -203,6 +206,105 @@ TEST(GeneratorTest, Campaign10kStyleAllDetected) {
   const auto result = run_campaign(simulator, set.vectors, options);
   EXPECT_TRUE(result.all_detected())
       << result.total_trials() - result.total_detected() << " trials missed";
+}
+
+/// FNV-1a 64 over everything a generated program emits: every vector's
+/// kind, label, commanded states and expected readings, then the cut sites
+/// and the path hookups and cells, all in emission order. Two programs
+/// with equal counts but different cuts or paths get different digests.
+class ProgramDigest {
+ public:
+  explicit ProgramDigest(const GeneratedTestSet& set) {
+    add(set.vectors.size());
+    for (const sim::TestVector& vector : set.vectors) {
+      add(static_cast<std::uint64_t>(vector.kind));
+      add(vector.label.size());
+      for (const char c : vector.label) add_byte(static_cast<unsigned char>(c));
+      add(vector.states.size());
+      for (const bool open : vector.states) add_byte(open ? 1 : 0);
+      add(vector.expected.size());
+      for (const bool reading : vector.expected) add_byte(reading ? 1 : 0);
+    }
+    add(set.cuts.size());
+    for (const CutSet& cut : set.cuts) {
+      add(cut.sites.size());
+      for (const Site site : cut.sites) {
+        add(static_cast<std::uint64_t>(site.row));
+        add(static_cast<std::uint64_t>(site.col));
+      }
+    }
+    add(set.paths.size());
+    for (const FlowPath& path : set.paths) {
+      add(static_cast<std::uint64_t>(path.source_port));
+      add(static_cast<std::uint64_t>(path.sink_port));
+      add(path.cells.size());
+      for (const Cell cell : path.cells) {
+        add(static_cast<std::uint64_t>(cell.row));
+        add(static_cast<std::uint64_t>(cell.col));
+      }
+    }
+  }
+
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void add_byte(unsigned char byte) {
+    hash_ = (hash_ ^ byte) * 0x100000001b3ULL;
+  }
+  void add(std::uint64_t word) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      add_byte(static_cast<unsigned char>(word >> shift));
+    }
+  }
+
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t program_digest(const grid::ValveArray& array,
+                             const GeneratorOptions& options) {
+  return ProgramDigest(generate_test_set(array, options)).value();
+}
+
+// Golden digests of whole programs. The counts gate only pins N per
+// preset; these pin every emitted cut, path and vector, so a planner
+// change that picks different shapes of equal count fails here. A change
+// that moves a program on purpose re-records the digest and says why.
+TEST(GoldenProgramTest, Table1PresetsHierarchical) {
+  // The table1 benchmark configuration: 5x5 subblocks.
+  GeneratorOptions options;
+  options.hierarchical = true;
+  options.block_size = 5;
+  const std::uint64_t expected[] = {
+      0x7d1e91f2a6b33375ULL, 0x0294fbd54c16a87cULL,
+      0x15e48efc488103cdULL, 0x42c10775dda5503fULL,
+      0x878af018444a1024ULL};
+  const auto sizes = grid::table1_sizes();
+  ASSERT_EQ(sizes.size(), std::size(expected));
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(program_digest(grid::table1_array(sizes[i]), options),
+              expected[i])
+        << "n=" << sizes[i];
+  }
+}
+
+TEST(GoldenProgramTest, FlatDefault) {
+  EXPECT_EQ(program_digest(grid::table1_array(10), GeneratorOptions{}),
+            0x168ebc69e33d431aULL);
+}
+
+TEST(GoldenProgramTest, WithoutTwoFaultExclusion) {
+  GeneratorOptions options;
+  options.two_fault_exclusion = false;
+  EXPECT_EQ(program_digest(grid::table1_array(10), options),
+            0x4de140bb670f45c0ULL);
+}
+
+TEST(GoldenProgramTest, StructuralCutCoverWithoutRepair) {
+  // repair = false routes the cut stage through CutPlanner::cover.
+  GeneratorOptions options;
+  options.repair = false;
+  EXPECT_EQ(program_digest(grid::table1_array(10), options),
+            0xb3f6e4448e000f26ULL);
 }
 
 TEST(ReportTest, RenderersProduceMaps) {
