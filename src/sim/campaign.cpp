@@ -1,12 +1,10 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "sim/batch.h"
@@ -99,9 +97,8 @@ std::vector<LeakPair> resolve_leak_pairs(const grid::ValveArray& array,
                                     : options.leak_pairs;
 }
 
-/// Trials per unit of parallel work. Fixed (never derived from the thread
-/// count) so the shard decomposition -- and with it every undetected-sample
-/// prefix -- is identical no matter how many workers run.
+/// Trials drawn and dropped together. The shard bounds the drawn pool's
+/// memory and is the unit of work a tripped stop token discards.
 constexpr int kShardTrials = 4096;
 
 /// Outcome of one contiguous shard of trials at one fault count.
@@ -111,8 +108,8 @@ struct ShardOutcome {
   /// order. fold_shard keeps only a prefix of each shard's list, so the
   /// rest could never reach a row.
   std::vector<FaultScenario> undetected;
-  /// False when the shard was abandoned (stop token tripped mid-shard) or
-  /// never ran; such outcomes are discarded, never folded.
+  /// False when the shard was abandoned (stop token tripped before or
+  /// during it); such outcomes are discarded, never folded.
   bool completed = false;
 };
 
@@ -239,96 +236,6 @@ CampaignResult run_campaign_scalar(const Simulator& simulator,
     result.rows.push_back(std::move(row));
   }
   return result;
-}
-
-std::vector<CampaignResult> run_campaign_catalog(
-    std::span<const CatalogEntry> entries, int thread_count) {
-  // Validate everything before any thread spawns so errors surface as
-  // plain exceptions on the caller.
-  std::vector<std::vector<LeakPair>> leak_pairs;
-  leak_pairs.reserve(entries.size());
-  for (const CatalogEntry& entry : entries) {
-    common::check(entry.array != nullptr,
-                  "run_campaign_catalog: entry without an array");
-    validate_options(*entry.array, entry.options);
-    leak_pairs.push_back(resolve_leak_pairs(*entry.array, entry.options));
-  }
-
-  // Flatten every entry's campaign into fixed-size shard jobs so threads
-  // stay busy across fault counts and array boundaries; each job's result
-  // lands in its own slot, making the merge (and therefore every
-  // CampaignResult) independent of thread scheduling.
-  struct Job {
-    std::size_t entry;
-    int fault_count;
-    int first_trial;
-    int count;
-  };
-  std::vector<Job> jobs;
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    const CampaignOptions& options = entries[e].options;
-    for (int k = options.min_faults; k <= options.max_faults; ++k) {
-      for (int first = 0; first < options.trials_per_count;
-           first += kShardTrials) {
-        jobs.push_back({e, k, first,
-                        std::min(kShardTrials,
-                                 options.trials_per_count - first)});
-      }
-    }
-  }
-
-  std::vector<ShardOutcome> outcomes(jobs.size());
-  // Each worker keeps the BatchSimulator of the entry it last touched;
-  // jobs are claimed in index order, so a worker streams through one
-  // array's shards before crossing into the next.
-  struct WorkerCache {
-    std::size_t entry = 0;
-    std::unique_ptr<BatchSimulator> batch;
-  };
-  std::vector<WorkerCache> caches(static_cast<std::size_t>(
-      common::plan_workers(thread_count, jobs.size())));
-  common::run_jobs(
-      thread_count, jobs.size(), [&](int worker, std::size_t i) {
-        const Job& job = jobs[i];
-        // A tripped token skips the whole shard (its outcome stays
-        // incomplete and is never folded); evaluate_shard also polls
-        // between vectors to wind down mid-shard.
-        if (entries[job.entry].options.stop.stop_requested()) return;
-        WorkerCache& cache = caches[static_cast<std::size_t>(worker)];
-        if (!cache.batch || cache.entry != job.entry) {
-          cache.batch =
-              std::make_unique<BatchSimulator>(*entries[job.entry].array);
-          cache.entry = job.entry;
-        }
-        outcomes[i] = evaluate_shard(
-            *cache.batch, entries[job.entry].vectors,
-            entries[job.entry].options, leak_pairs[job.entry],
-            job.fault_count, job.first_trial, job.count);
-      });
-
-  std::vector<CampaignResult> results(entries.size());
-  std::size_t job_index = 0;
-  for (std::size_t e = 0; e < entries.size(); ++e) {
-    const CampaignOptions& options = entries[e].options;
-    for (int k = options.min_faults; k <= options.max_faults; ++k) {
-      CampaignRow row;
-      row.fault_count = k;
-      row.set_cardinality = k;
-      for (int first = 0; first < options.trials_per_count;
-           first += kShardTrials) {
-        ShardOutcome& outcome = outcomes[job_index++];
-        if (!outcome.completed) {
-          results[e].interrupted = true;
-          continue;
-        }
-        row.trials += std::min(kShardTrials,
-                               options.trials_per_count - first);
-        fold_shard(row, std::move(outcome), options.max_undetected_kept);
-      }
-      results[e].rows.push_back(std::move(row));
-    }
-  }
-  return results;
 }
 
 std::string summarize(const CampaignResult& result) {

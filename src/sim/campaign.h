@@ -6,9 +6,9 @@
 //
 // Every trial draws its faults from its own counter-based RNG stream
 // (common::stream_seed of CampaignOptions::seed and the trial coordinates),
-// so the scalar oracle, the bit-parallel batched engine, and the
-// multi-threaded catalog all see identical fault sets and produce
-// bit-identical CampaignResults regardless of batching or thread count.
+// so the scalar oracle and the bit-parallel batched engine see identical
+// fault sets and produce bit-identical CampaignResults regardless of
+// batching.
 #ifndef FPVA_SIM_CAMPAIGN_H
 #define FPVA_SIM_CAMPAIGN_H
 
@@ -71,9 +71,8 @@ struct CampaignRow {
 struct CampaignResult {
   std::vector<CampaignRow> rows;  ///< one per fault count
   /// True when CampaignOptions::stop tripped before every trial ran; rows
-  /// then hold only the shards that completed (a prefix in the serial
-  /// runners, possibly gapped in the threaded ones), with zero-trial rows
-  /// for fault counts never reached.
+  /// then hold only the prefix of shards (or scalar trials) that
+  /// completed, with zero-trial rows for fault counts never reached.
   bool interrupted = false;
 
   long total_trials() const;
@@ -106,29 +105,10 @@ CampaignResult run_campaign(const Simulator& simulator,
 
 /// Reference implementation: one scalar Simulator pass per trial. Kept as
 /// the differential-testing oracle for the batched engine; prefer
-/// run_campaign (or run_campaign_catalog, threaded) everywhere else.
+/// run_campaign everywhere else.
 CampaignResult run_campaign_scalar(const Simulator& simulator,
                                    std::span<const TestVector> vectors,
                                    const CampaignOptions& options = {});
-
-/// One array's campaign inside a catalog run. The array and the vector
-/// span must outlive the run_campaign_catalog call.
-struct CatalogEntry {
-  const grid::ValveArray* array = nullptr;
-  std::span<const TestVector> vectors;
-  CampaignOptions options;
-};
-
-/// The threaded campaign runner: shards every entry's trial range across
-/// worker threads (via common::run_jobs, one BatchSimulator per worker),
-/// flattening all entries' shard jobs into a single pool so workers stay
-/// busy across array boundaries (the tail shards of a small array overlap
-/// the head shards of the next). A single campaign is a one-entry catalog.
-/// Results land at the entry's index and each is bit-identical to
-/// run_campaign on that entry alone, for any `thread_count` (0 means
-/// std::thread::hardware_concurrency()).
-std::vector<CampaignResult> run_campaign_catalog(
-    std::span<const CatalogEntry> entries, int thread_count = 0);
 
 /// Renders the campaign as an aligned table, one row per fault count. Rows
 /// are labeled by CampaignRow::set_cardinality — "single fault" only when a

@@ -203,6 +203,48 @@ TEST(CampaignEquivalenceTest, BatchedMatchesScalarOracle) {
   }
 }
 
+TEST(CampaignEquivalenceTest, GeneratedProgramBatchedMatchesScalar) {
+  // The Section-IV configuration: a hierarchical Table-I program and 1-5
+  // faults per trial. A real program drops most trials within its first
+  // vectors and keeps a few alive to the end, so the drop step recompacts
+  // across many vectors, which the one-vector programs above never reach.
+  // The second options set adds control leaks and degraded faults, so
+  // some trials escape and undetected_samples is compared on real content.
+  core::GeneratorOptions generator;
+  generator.hierarchical = true;
+  generator.block_size = 5;
+  for (const int preset : {5, 10}) {
+    const auto array = grid::table1_array(preset);
+    const Simulator simulator(array);
+    const auto program = core::generate_test_set(array, generator);
+    CampaignOptions stuck_at;
+    stuck_at.trials_per_count = 400;
+    CampaignOptions mixed = stuck_at;
+    mixed.include_control_leaks = true;
+    mixed.degraded_probability = 0.5;
+    for (const CampaignOptions& options : {stuck_at, mixed}) {
+      const auto batched = run_campaign(simulator, program.vectors, options);
+      const auto scalar =
+          run_campaign_scalar(simulator, program.vectors, options);
+      ASSERT_EQ(batched.rows.size(), 5u);
+      ASSERT_EQ(scalar.rows.size(), 5u);
+      for (std::size_t i = 0; i < batched.rows.size(); ++i) {
+        EXPECT_EQ(batched.rows[i].trials, scalar.rows[i].trials);
+        EXPECT_EQ(batched.rows[i].detected, scalar.rows[i].detected)
+            << "preset " << preset << " row " << i;
+        EXPECT_EQ(batched.rows[i].undetected_samples,
+                  scalar.rows[i].undetected_samples)
+            << "preset " << preset << " row " << i;
+      }
+      EXPECT_GT(scalar.total_detected(), 0) << "preset " << preset;
+      if (options.degraded_probability > 0.0) {
+        EXPECT_LT(scalar.total_detected(), scalar.total_trials())
+            << "preset " << preset << ": the mixed draw must leave escapes";
+      }
+    }
+  }
+}
+
 TEST(CampaignEquivalenceTest, DegradedCampaignBatchedMatchesScalar) {
   const auto array = grid::table1_array(5);
   const Simulator simulator(array);
@@ -408,76 +450,7 @@ TEST(CampaignEquivalenceTest, MultiFaultCoverageMatchesScalarBruteForce) {
   }
 }
 
-TEST(ParallelCampaignTest, CatalogMatchesPerArrayRuns) {
-  // One sharded process over a whole catalog must reproduce each array's
-  // standalone campaign bit-for-bit, at any thread count. The last entry
-  // runs its own options (one all-open vector, four fault counts), so the
-  // catalog also covers entries that differ in more than the array.
-  const std::vector<grid::ValveArray> arrays = {
-      grid::full_array(3, 3), grid::table1_array(5), grid::full_array(2, 5),
-      grid::table1_array(5)};
-  common::Rng rng(91);
-  std::vector<std::vector<TestVector>> vectors;
-  std::vector<CampaignResult> references;
-  std::vector<CatalogEntry> entries;
-  CampaignOptions options;
-  options.trials_per_count = 300;
-  options.max_faults = 3;
-  options.include_control_leaks = true;
-  std::vector<CampaignOptions> entry_options(arrays.size(), options);
-  entry_options.back().trials_per_count = 500;
-  entry_options.back().max_faults = 4;
-  for (std::size_t i = 0; i < arrays.size(); ++i) {
-    const grid::ValveArray& array = arrays[i];
-    const Simulator simulator(array);
-    std::vector<TestVector> array_vectors;
-    if (i + 1 == arrays.size()) {
-      TestVector vector;
-      vector.states =
-          ValveStates(static_cast<std::size_t>(array.valve_count()), true);
-      vector.expected = simulator.expected(vector.states);
-      array_vectors.push_back(std::move(vector));
-    } else {
-      for (int v = 0; v < 3; ++v) {
-        TestVector vector;
-        vector.states = random_states(rng, array);
-        vector.expected = simulator.expected(vector.states);
-        array_vectors.push_back(std::move(vector));
-      }
-    }
-    vectors.push_back(std::move(array_vectors));
-    references.push_back(
-        run_campaign(simulator, vectors.back(), entry_options[i]));
-  }
-  for (std::size_t i = 0; i < arrays.size(); ++i) {
-    CatalogEntry entry;
-    entry.array = &arrays[i];
-    entry.vectors = vectors[i];
-    entry.options = entry_options[i];
-    entries.push_back(entry);
-  }
-  for (const int threads : {1, 4, 8}) {
-    const auto results = run_campaign_catalog(entries, threads);
-    ASSERT_EQ(results.size(), references.size()) << threads;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(results[i].rows.size(), references[i].rows.size())
-          << threads << " threads, entry " << i;
-      for (std::size_t row = 0; row < results[i].rows.size(); ++row) {
-        EXPECT_EQ(results[i].rows[row].detected,
-                  references[i].rows[row].detected)
-            << threads << " threads, entry " << i << ", row " << row;
-        EXPECT_EQ(results[i].rows[row].trials,
-                  references[i].rows[row].trials)
-            << threads << " threads, entry " << i << ", row " << row;
-        EXPECT_EQ(results[i].rows[row].undetected_samples,
-                  references[i].rows[row].undetected_samples)
-            << threads << " threads, entry " << i << ", row " << row;
-      }
-    }
-  }
-}
-
-TEST(ParallelCampaignTest, UndetectedCapAgreesAcrossRunners) {
+TEST(CampaignEquivalenceTest, UndetectedCapAgreesAcrossRunners) {
   // Each shard keeps at most max_undetected_kept undetected scenarios. The
   // cap must be exact for a row spanning several 4 096-trial shards: with
   // nothing kept, with one kept, and with a cap that the first shard alone
@@ -508,17 +481,10 @@ TEST(ParallelCampaignTest, UndetectedCapAgreesAcrossRunners) {
     options.max_undetected_kept = kept;
     const auto scalar = run_campaign_scalar(simulator, vectors, options);
     const auto batched = run_campaign(simulator, vectors, options);
-    const CatalogEntry entry{&array, vectors, options};
-    const auto catalog = run_campaign_catalog({&entry, 1}, 4);
     ASSERT_EQ(scalar.rows.size(), 1u);
     EXPECT_EQ(scalar.rows[0].undetected_samples.size(), kept) << kept;
     EXPECT_EQ(batched.rows[0].detected, scalar.rows[0].detected) << kept;
-    EXPECT_EQ(catalog.front().rows[0].detected, scalar.rows[0].detected)
-        << kept;
     EXPECT_EQ(batched.rows[0].undetected_samples,
-              scalar.rows[0].undetected_samples)
-        << kept;
-    EXPECT_EQ(catalog.front().rows[0].undetected_samples,
               scalar.rows[0].undetected_samples)
         << kept;
   }
@@ -550,8 +516,6 @@ TEST(CampaignStopTest, TrippedTokenInterruptsEveryRunner) {
   };
   check(run_campaign(simulator, vectors, options), "batched");
   check(run_campaign_scalar(simulator, vectors, options), "scalar");
-  const CatalogEntry entry{&array, vectors, options};
-  check(run_campaign_catalog({&entry, 1}, 4).front(), "catalog");
 }
 
 TEST(CampaignStopTest, UntrippedTokenChangesNothing) {

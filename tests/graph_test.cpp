@@ -1,30 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "common/check.h"
-#include "graph/digraph.h"
-#include "graph/dinic.h"
 #include "graph/union_find.h"
 
 namespace fpva::graph {
 namespace {
-
-TEST(DigraphTest, ReachabilityFollowsArcs) {
-  Digraph graph(4);
-  graph.add_edge(0, 1);
-  graph.add_edge(1, 2);
-  const auto reach = graph.reachable_from(0);
-  EXPECT_EQ(reach.size(), 3u);
-  EXPECT_EQ(graph.reachable_from(3).size(), 1u);
-}
-
-TEST(DigraphTest, UndirectedConnectivity) {
-  Digraph graph(3);
-  graph.add_edge(2, 0);  // directed, but undirected view connects all
-  graph.add_edge(2, 1);
-  EXPECT_TRUE(graph.is_connected_undirected());
-  Digraph disconnected(2);
-  EXPECT_FALSE(disconnected.is_connected_undirected());
-}
 
 TEST(UnionFindTest, UniteAndFind) {
   UnionFind sets(6);
@@ -36,74 +15,6 @@ TEST(UnionFindTest, UniteAndFind) {
   EXPECT_FALSE(sets.connected(0, 3));
   EXPECT_EQ(sets.set_count(), 4);
   EXPECT_EQ(sets.set_size(2), 3);
-}
-
-TEST(MaxFlowTest, SingleEdge) {
-  MaxFlow network(2);
-  const int edge = network.add_edge(0, 1, 7);
-  EXPECT_EQ(network.solve(0, 1), 7);
-  EXPECT_EQ(network.flow(edge), 7);
-}
-
-TEST(MaxFlowTest, ClassicDiamond) {
-  // 0 -> {1,2} -> 3 with bottlenecks.
-  MaxFlow network(4);
-  network.add_edge(0, 1, 3);
-  network.add_edge(0, 2, 2);
-  network.add_edge(1, 3, 2);
-  network.add_edge(2, 3, 3);
-  EXPECT_EQ(network.solve(0, 3), 4);
-}
-
-TEST(MaxFlowTest, MinCutSeparates) {
-  // Path 0-1-2 with middle bottleneck; cut must be the middle edge.
-  MaxFlow network(3);
-  network.add_edge(0, 1, 10);
-  const int bottleneck = network.add_edge(1, 2, 1);
-  EXPECT_EQ(network.solve(0, 2), 1);
-  EXPECT_TRUE(network.on_source_side(0));
-  EXPECT_TRUE(network.on_source_side(1));
-  EXPECT_FALSE(network.on_source_side(2));
-  const auto cut = network.min_cut_edges();
-  ASSERT_EQ(cut.size(), 1u);
-  EXPECT_EQ(cut[0], bottleneck);
-}
-
-TEST(MaxFlowTest, DisconnectedIsZero) {
-  MaxFlow network(4);
-  network.add_edge(0, 1, 5);
-  network.add_edge(2, 3, 5);
-  EXPECT_EQ(network.solve(0, 3), 0);
-}
-
-TEST(MaxFlowTest, UndirectedEdgesCarryFlowBothWays) {
-  MaxFlow network(3);
-  network.add_undirected_edge(0, 1, 4);
-  network.add_undirected_edge(1, 2, 4);
-  EXPECT_EQ(network.solve(2, 0), 4);
-}
-
-TEST(MaxFlowTest, GridUnitCapacityDisjointPaths) {
-  // 3x3 grid of unit-capacity undirected edges: the number of edge-disjoint
-  // corner-to-corner paths equals the corner degree (2).
-  const int n = 3;
-  MaxFlow network(n * n);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      if (c + 1 < n) network.add_undirected_edge(r * n + c, r * n + c + 1, 1);
-      if (r + 1 < n) network.add_undirected_edge(r * n + c, (r + 1) * n + c, 1);
-    }
-  }
-  EXPECT_EQ(network.solve(0, n * n - 1), 2);
-}
-
-TEST(MaxFlowTest, RejectsMisuse) {
-  MaxFlow network(2);
-  network.add_edge(0, 1, 1);
-  EXPECT_THROW(network.solve(0, 0), common::Error);
-  network.solve(0, 1);
-  EXPECT_THROW(network.solve(0, 1), common::Error);
-  EXPECT_THROW(network.add_edge(0, 1, 1), common::Error);
 }
 
 }  // namespace
