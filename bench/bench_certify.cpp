@@ -14,7 +14,8 @@
 //   threads            workers for BOTH parallel layers — budget stages
 //                      run concurrently and each stage's tree search is
 //                      work-stealing parallel (default 1 = serial,
-//                      bit-identical counters; 0 = hardware concurrency)
+//                      bit-identical counters; 0 = hardware concurrency;
+//                      at most the hardware concurrency)
 //   store-dir          certificate-store directory; "-" (default) disables
 //                      persistence. With a store, a rerun resumes: stored
 //                      refutations replay, stored witnesses re-verify, and
@@ -35,9 +36,11 @@
 //   3  campaign ran but the certificate is incomplete: abandoned stages,
 //      an unproven cover, or a deadline checkpoint (resume by rerunning
 //      with the same store-dir)
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,19 +70,26 @@ const char* status_name(fpva::ilp::ResultStatus status) {
                "usage: bench_certify [n=6] [per-stage-seconds=600] "
                "[out.json] [threads=1] [store-dir=-] "
                "[deadline-seconds=none]\n"
-               "  2 <= n <= 12; per-stage-seconds > 0; threads >= 0;\n"
+               "  2 <= n <= 12; per-stage-seconds > 0;\n"
+               "  0 <= threads <= hardware concurrency (0 = all cores);\n"
                "  deadline-seconds > 0 when given; store-dir \"-\" "
                "disables the certificate store\n");
   std::exit(2);
 }
 
 /// Strict numeric parsing: atoi-style silent zeroes on garbage have bitten
-/// this probe before (a mistyped flag order quietly became "0 threads").
-long parse_long(const char* text) {
+/// this probe before (a mistyped flag order quietly became "0 threads"),
+/// and a value past int range must not wrap (4294967298 is not n = 2).
+int parse_int(const char* text) {
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') usage_error();
-  return value;
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    usage_error();
+  }
+  return static_cast<int>(value);
 }
 
 double parse_double(const char* text) {
@@ -100,15 +110,17 @@ int main(int argc, char** argv) {
   std::string store_dir = "-";
   double deadline_seconds = 0.0;  // 0 = none
   if (argc > 7) usage_error();
-  if (argc > 1) n = static_cast<int>(parse_long(argv[1]));
+  if (argc > 1) n = parse_int(argv[1]);
   if (argc > 2) stage_seconds = parse_double(argv[2]);
   if (argc > 3) out_path = argv[3];
-  if (argc > 4) threads = static_cast<int>(parse_long(argv[4]));
+  if (argc > 4) threads = parse_int(argv[4]);
   if (argc > 5) store_dir = argv[5];
   if (argc > 6) deadline_seconds = parse_double(argv[6]);
+  // Each stage starts `threads` OS threads, so more than the machine has
+  // cores is refused rather than oversubscribed.
   if (n < 2 || n > 12 || stage_seconds <= 0.0 || threads < 0 ||
-      out_path.empty() || store_dir.empty() ||
-      (argc > 6 && deadline_seconds <= 0.0)) {
+      threads > common::resolve_thread_count(0) || out_path.empty() ||
+      store_dir.empty() || (argc > 6 && deadline_seconds <= 0.0)) {
     usage_error();
   }
 

@@ -1,11 +1,12 @@
 // Quickstart: generate a complete manufacturing-test program for an 8x8
 // fully programmable valve array and inspect it.
 //
-//   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   cmake -B build && cmake --build build
+//   ./build/quickstart
 #include <iostream>
 
 #include "core/generator.h"
+#include "core/port_advisor.h"
 #include "core/report.h"
 #include "grid/presets.h"
 #include "grid/serialize.h"
@@ -55,6 +56,23 @@ int main() {
                 << " -> first caught by vector '" << vector.label << "'\n";
       break;
     }
+  }
+
+  // 6. Control-leak pairs no vector can separate with this hookup: ask
+  //    for extra meter sites and regenerate the program on the amended
+  //    array.
+  if (!set.untestable_leaks.empty()) {
+    std::cout << "\n" << set.untestable_leaks.size()
+              << " control-leak pairs are untestable with one meter;"
+                 " suggested meter sites:";
+    const core::PortAdvice advice = core::advise_meters(array);
+    for (const grid::Site site : advice.added_meters) {
+      std::cout << ' ' << grid::to_string(site);
+    }
+    const core::GeneratedTestSet amended =
+        core::generate_test_set(advice.amended);
+    std::cout << "\n  untestable control-leak pairs with them: "
+              << amended.untestable_leaks.size() << "\n";
   }
   return 0;
 }

@@ -35,6 +35,9 @@ struct CutPlanner::Walk {
 
 namespace {
 
+constexpr int kMaxCuts = 4096;         ///< safety valve for the cover loop
+constexpr int kMaxDetourAttempts = 8;  ///< nearest-frontier candidates to try
+
 /// The valve-parity site between two adjacent posts.
 Site site_between_posts(Site a, Site b) {
   return Site{(a.row + b.row) / 2, (a.col + b.col) / 2};
@@ -105,8 +108,8 @@ std::vector<int> dual_boundary_arcs(const grid::ValveArray& array,
   return arcs;
 }
 
-CutPlanner::CutPlanner(const grid::ValveArray& array, Options options)
-    : array_(&array), options_(options) {
+CutPlanner::CutPlanner(const grid::ValveArray& array, bool enforce_chordless)
+    : array_(&array), enforce_chordless_(enforce_chordless) {
   post_rows_ = array.rows() + 1;
   post_cols_ = array.cols() + 1;
   arc_of_post_ = dual_boundary_arcs(array, &arc_count_);
@@ -314,18 +317,18 @@ CutPlanner::CoverResult CutPlanner::cover(const std::vector<bool>& targets) {
       }
     }
     if (!useful) continue;
-    if (options_.enforce_chordless) make_chordless(*cut);
+    if (enforce_chordless_) make_chordless(*cut);
     for (const grid::ValveId valve : cut_valves(*array_, *cut)) {
       covered[static_cast<std::size_t>(valve)] = true;
     }
     result.cuts.push_back(std::move(*cut));
-    if (static_cast<int>(result.cuts.size()) >= options_.max_cuts) break;
+    if (static_cast<int>(result.cuts.size()) >= kMaxCuts) break;
   }
 
   // Phase 2: dual-snake patches for valves the staircases missed.
   std::vector<bool> wanted(targets.size());
   std::vector<bool> abandoned(targets.size(), false);
-  while (static_cast<int>(result.cuts.size()) < options_.max_cuts) {
+  while (static_cast<int>(result.cuts.size()) < kMaxCuts) {
     grid::ValveId seed = grid::kInvalidValve;
     for (std::size_t v = 0; v < targets.size(); ++v) {
       wanted[v] = targets[v] && !covered[v] && !abandoned[v];
@@ -497,7 +500,7 @@ bool CutPlanner::detour(Walk& walk, const std::vector<bool>& wanted,
     if (post != start && borders_wanted) {
       candidates.push_back(post);
       if (static_cast<int>(candidates.size()) >=
-          options_.max_detour_attempts) {
+          kMaxDetourAttempts) {
         break;
       }
     }
@@ -549,7 +552,7 @@ std::optional<CutSet> CutPlanner::finalize(
     cut.sites.push_back(site_between_posts(
         post_site(walk.posts[i]), post_site(walk.posts[i + 1])));
   }
-  if (options_.enforce_chordless) make_chordless(cut);
+  if (enforce_chordless_) make_chordless(cut);
   if (avoid != nullptr) {
     // Chord absorption (constraint (9)) may have pulled in a valve the
     // caller explicitly excluded; such a cut shape is unusable.

@@ -54,23 +54,17 @@ grid::Site dual_post_site(const grid::ValveArray& array, int id);
 std::vector<int> dual_boundary_arcs(const grid::ValveArray& array,
                                     int* arc_count);
 
-struct CutPlannerOptions {
-  int max_cuts = 4096;
-  int max_detour_attempts = 8;
-  bool enforce_chordless = true;  ///< apply constraint (9) to every cut
-};
-
 class CutPlanner {
  public:
-  using Options = CutPlannerOptions;
-
   struct CoverResult {
     std::vector<CutSet> cuts;
     /// Valves no valid cut can contain (e.g. bridged by a channel).
     std::vector<grid::ValveId> uncoverable;
   };
 
-  explicit CutPlanner(const grid::ValveArray& array, Options options = Options());
+  /// `enforce_chordless` applies constraint (9) to every cut.
+  explicit CutPlanner(const grid::ValveArray& array,
+                      bool enforce_chordless = true);
 
   const grid::ValveArray& array() const { return *array_; }
 
@@ -140,7 +134,7 @@ class CutPlanner {
                                  const std::vector<bool>* avoid) const;
 
   const grid::ValveArray* array_;
-  Options options_;
+  bool enforce_chordless_ = true;
   int post_rows_ = 0;
   int post_cols_ = 0;
   std::vector<int> arc_of_post_;  ///< boundary arc id per post, -1 interior

@@ -48,6 +48,10 @@ std::vector<grid::ValveId> channel_bypassed_valves(
 
 namespace {
 
+/// Stuck-at-0 repair rounds before the remaining faults are reported as
+/// undetected.
+constexpr int kMaxRepairRounds = 3;
+
 /// Targets mask: every valve except the structurally untestable ones.
 std::vector<bool> testable_mask(const grid::ValveArray& array,
                                 const std::vector<grid::ValveId>& untestable) {
@@ -74,9 +78,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
   GeneratedTestSet out;
   const sim::Simulator simulator(array);
   PathPlanner path_planner(array);
-  CutPlanner::Options cut_options;
-  cut_options.enforce_chordless = options.two_fault_exclusion;
-  CutPlanner cut_planner(array, cut_options);
+  CutPlanner cut_planner(array, options.two_fault_exclusion);
 
   out.untestable = channel_bypassed_valves(array);
   const std::vector<bool> targets = testable_mask(array, out.untestable);
@@ -86,10 +88,8 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
   std::vector<grid::ValveId> path_uncoverable;
   if (options.path_engine == GeneratorOptions::PathEngine::kIlp &&
       array.valve_count() <= options.ilp_valve_limit) {
-    ilp::Options ilp_options = options.ilp_options;
-    ilp_options.time_limit_seconds = options.ilp_time_limit_seconds;
     auto ilp_paths = find_minimum_flow_paths(
-        array, 1, std::max(2, array.valve_count()), ilp_options);
+        array, 1, std::max(2, array.valve_count()));
     if (ilp_paths.has_value()) {
       out.paths = std::move(ilp_paths->paths);
       // A cover without an optimality certificate must not be reported as
@@ -157,7 +157,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
         sa0_universe.push_back(sim::stuck_at_0(v));
       }
     }
-    for (int round = 0; round < options.max_repair_rounds; ++round) {
+    for (int round = 0; round < kMaxRepairRounds; ++round) {
       const auto report =
           single_fault_coverage(simulator, out.vectors, sa0_universe);
       if (report.complete()) break;

@@ -14,7 +14,6 @@
 #include "core/flow_path.h"
 #include "core/path_planner.h"
 #include "grid/array.h"
-#include "ilp/branch_and_bound.h"
 #include "sim/control_topology.h"
 #include "sim/coverage.h"
 #include "sim/simulator.h"
@@ -39,19 +38,14 @@ struct GeneratorOptions {
 
   /// Behavioral single-fault validation + targeted repair vectors.
   bool repair = true;
-  int max_repair_rounds = 3;
 
   /// Apply the masking-pattern exclusion of constraint (9) (chordless cuts).
   bool two_fault_exclusion = true;
 
   /// Valve-count ceiling for the ILP engine before it falls back to the
   /// constructive engine (the paper's own motivation for the hierarchy).
+  /// The engine runs with the default ilp::Options.
   int ilp_valve_limit = 60;
-  double ilp_time_limit_seconds = 120.0;
-
-  /// Solver configuration forwarded to the ILP engine
-  /// (`ilp_time_limit_seconds` above overrides its time limit).
-  ilp::Options ilp_options;
 };
 
 /// Wall-clock cost and output size of one generation stage (a Table-I

@@ -72,7 +72,7 @@ struct Chain {
 /// Builds the budgeted model, solves it, and walks the solution into
 /// chains. Returns nullopt when infeasible or the solver gave up.
 std::optional<std::vector<Chain>> solve_chain_model(
-    const ChainSpec& spec, int budget, const ilp::Options& ilp_options,
+    const ChainSpec& spec, int budget, const ilp::Options& base_options,
     ilp::Result* diagnostics) {
   check(budget >= 1, "solve_chain_model: budget must be positive");
   const int site_count = static_cast<int>(spec.sites.size());
@@ -228,7 +228,7 @@ std::optional<std::vector<Chain>> solve_chain_model(
   // tightening, implied fixings, row removal) happen once here, the search
   // runs on the reduced model, and the incumbent is mapped back to the
   // original variable space for chain extraction.
-  ilp::Options options = ilp_options;
+  ilp::Options options = base_options;
   options.objective_is_integral = true;
   if (options.branching == ilp::Branching::kAuto) {
     // The chain-major variable layout makes input-order dives construct
@@ -446,18 +446,10 @@ struct StoreHooks {
 /// survives a limit change, a limit-abandoned one does not.
 std::string fingerprint_config(const ilp::Options& options) {
   return common::cat(
-      "v2 tol=", options.integrality_tolerance,
-      " int=", options.objective_is_integral, " pre=", options.presolve,
-      " prop=", options.node_propagation,
+      "v3 int=", options.objective_is_integral, " pre=", options.presolve,
       " branch=", static_cast<int>(options.branching),
-      " retries=", options.max_lp_retries, " probe=", options.probing,
-      " clique=", options.clique_cuts, " cutrounds=", options.max_cut_rounds,
-      " cutsper=", options.max_cuts_per_round,
-      " orbit=", options.orbit_symmetry_rows,
-      " floorrows=", options.budget_floor_rows,
       " learn=", options.conflict_learning,
-      " jump=", options.conflict_backjumping,
-      " nogoods=", options.max_nogoods, " threads=", options.threads,
+      " jump=", options.conflict_backjumping, " threads=", options.threads,
       " lpiter=", options.lp_iteration_limit);
 }
 
@@ -540,8 +532,7 @@ std::vector<StageCache<ResultT>> precompute_stages(
         // optimistically. (A pinned feasible point is feasible unpinned
         // too, so even invalidated speculation never misleads the replay —
         // it just re-solves live.)
-        slot.floor =
-            options.budget_floor_rows && budget > first_budget ? budget : 0;
+        slot.floor = budget > first_budget ? budget : 0;
         slot.result =
             solve_budget(budget, slot.floor, stage_options, &slot.failure);
         const std::lock_guard<std::mutex> lock(mutex);
@@ -579,7 +570,6 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
                                         const char* kind,
                                         SolveBudget&& solve_budget,
                                         const StoreHooks<ResultT>& hooks = {}) {
-  const bool budget_floor_rows = options.budget_floor_rows;
   const std::size_t stage_count =
       static_cast<std::size_t>(last_budget - first_budget + 1);
 
@@ -666,8 +656,7 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
   for (int budget = first_budget; budget <= last_budget; ++budget) {
     if (options.stop.stop_requested()) return std::nullopt;
     ilp::Result failure;
-    const int floor =
-        budget_floor_rows && proven_floor == budget ? proven_floor : 0;
+    const int floor = proven_floor == budget ? proven_floor : 0;
     std::optional<ResultT> result;
     const std::size_t slot_index =
         static_cast<std::size_t>(budget - first_budget);
@@ -967,7 +956,7 @@ std::optional<IlpCutResult> solve_cut_set_model(
 
   ChainSpec spec;
   spec.masking_exclusion = masking_exclusion;
-  spec.orbit_symmetry = options.orbit_symmetry_rows;
+  spec.orbit_symmetry = true;
   spec.objective_floor = proven_budget_floor;
   spec.node_count = (array.rows() + 1) * (array.cols() + 1);
 

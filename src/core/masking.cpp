@@ -8,6 +8,9 @@ namespace fpva::core {
 
 namespace {
 
+/// Repair rounds before the audit gives up on the remaining pairs.
+constexpr int kMaxRepairRounds = 3;
+
 /// Candidate repair vectors for one undetected pair, most promising first.
 std::vector<sim::TestVector> repair_candidates(
     const grid::ValveArray& array, const sim::Simulator& simulator,
@@ -64,8 +67,7 @@ std::vector<sim::TestVector> repair_candidates(
 
 TwoFaultAudit audit_and_repair_two_faults(
     const grid::ValveArray& array, const sim::Simulator& simulator,
-    std::vector<sim::TestVector>& vectors,
-    const TwoFaultAuditOptions& options) {
+    std::vector<sim::TestVector>& vectors) {
   TwoFaultAudit audit;
   // Structurally untestable valves cannot participate in a guarantee.
   std::vector<bool> untestable(
@@ -80,15 +82,14 @@ TwoFaultAudit audit_and_repair_two_faults(
     universe.push_back(sim::stuck_at_1(v));
   }
 
-  audit.before = sim::two_fault_coverage(simulator, vectors, universe,
-                                         options.max_undetected_kept);
+  audit.before = sim::two_fault_coverage(simulator, vectors, universe);
   audit.after = audit.before;
 
   PathPlanner paths(array);
   CutPlanner cuts(array);
   int repair_index = 0;
   for (int round = 0;
-       round < options.max_repair_rounds && !audit.after.complete();
+       round < kMaxRepairRounds && !audit.after.complete();
        ++round) {
     bool progressed = false;
     for (const auto& [f, g] : audit.after.undetected) {
@@ -105,8 +106,7 @@ TwoFaultAudit audit_and_repair_two_faults(
         }
       }
     }
-    audit.after = sim::two_fault_coverage(simulator, vectors, universe,
-                                          options.max_undetected_kept);
+    audit.after = sim::two_fault_coverage(simulator, vectors, universe);
     if (!progressed) break;
   }
   return audit;

@@ -18,11 +18,6 @@
 
 namespace fpva::core {
 
-struct TwoFaultAuditOptions {
-  int max_repair_rounds = 3;
-  std::size_t max_undetected_kept = 100;
-};
-
 struct TwoFaultAudit {
   sim::PairCoverageReport before;  ///< pair coverage of the input set
   sim::PairCoverageReport after;   ///< pair coverage after repair vectors
@@ -34,8 +29,7 @@ struct TwoFaultAudit {
 /// Quadratic in valve count; intended for arrays up to roughly 10x10.
 TwoFaultAudit audit_and_repair_two_faults(
     const grid::ValveArray& array, const sim::Simulator& simulator,
-    std::vector<sim::TestVector>& vectors,
-    const TwoFaultAuditOptions& options = {});
+    std::vector<sim::TestVector>& vectors);
 
 }  // namespace fpva::core
 

@@ -13,6 +13,13 @@ using grid::Cell;
 using grid::Direction;
 using grid::Site;
 
+namespace {
+
+constexpr int kMaxPaths = 4096;        ///< safety valve for the cover loop
+constexpr int kMaxDetourAttempts = 8;  ///< nearest-frontier candidates to try
+
+}  // namespace
+
 // The planner works on a contracted graph: every channel-connected group of
 // cells (a "fluidic sea") is one node, every ordinary fluid cell its own
 // node. A simple path in this graph touches each sea at most once, which is
@@ -49,8 +56,7 @@ struct PathPlanner::Walk {
   }
 };
 
-PathPlanner::PathPlanner(const grid::ValveArray& array, Options options)
-    : array_(&array), options_(options) {
+PathPlanner::PathPlanner(const grid::ValveArray& array) : array_(&array) {
   const int cell_count = array.rows() * array.cols();
 
   // Contract channel components.
@@ -246,7 +252,7 @@ PathPlanner::CoverResult PathPlanner::cover_remaining(
   CoverResult result;
   std::vector<bool> wanted(targets.size());
   std::vector<bool> abandoned(targets.size(), false);
-  while (static_cast<int>(result.paths.size()) < options_.max_paths) {
+  while (static_cast<int>(result.paths.size()) < kMaxPaths) {
     grid::ValveId seed = grid::kInvalidValve;
     for (std::size_t v = 0; v < targets.size(); ++v) {
       wanted[v] = targets[v] && !covered[v] && !abandoned[v];
@@ -432,7 +438,7 @@ bool PathPlanner::detour(Walk& walk, const std::vector<bool>& wanted,
     if (node != start && borders_wanted) {
       candidates.push_back(node);
       if (static_cast<int>(candidates.size()) >=
-          options_.max_detour_attempts) {
+          kMaxDetourAttempts) {
         break;
       }
     }

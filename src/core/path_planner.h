@@ -28,22 +28,15 @@
 
 namespace fpva::core {
 
-struct PathPlannerOptions {
-  int max_paths = 4096;         ///< safety valve for the cover loop
-  int max_detour_attempts = 8;  ///< nearest-frontier candidates to try
-};
-
 class PathPlanner {
  public:
-  using Options = PathPlannerOptions;
-
   struct CoverResult {
     std::vector<FlowPath> paths;
     /// Valves no simple source->sink path can cross (e.g. walled pockets).
     std::vector<grid::ValveId> uncoverable;
   };
 
-  explicit PathPlanner(const grid::ValveArray& array, Options options = Options());
+  explicit PathPlanner(const grid::ValveArray& array);
 
   const grid::ValveArray& array() const { return *array_; }
 
@@ -115,7 +108,6 @@ class PathPlanner {
                                  const Hookup& hookup) const;
 
   const grid::ValveArray* array_;
-  Options options_;
   int node_count_ = 0;
   std::vector<int> node_of_cell_;  ///< fluid cell index -> node id
   std::vector<int> link_begin_;

@@ -108,7 +108,27 @@ ValveArray parse_ascii(const std::string& text) {
       }
     }
   }
-  return builder.build();
+  ValveArray array = builder.build();
+  // The builder derives each valve site from the cells beside it, so a 'v'
+  // on the boundary ring would come out a wall and a '#' between two fluid
+  // cells a valve. A map the built array contradicts is rejected, not
+  // silently reinterpreted.
+  const std::vector<std::string> rendered =
+      common::split(to_ascii(array), '\n');
+  for (int r = 0; r < static_cast<int>(lines.size()); ++r) {
+    const std::string& line = lines[static_cast<std::size_t>(r)];
+    const std::string& built = rendered[static_cast<std::size_t>(r)];
+    for (int c = 0; c < static_cast<int>(width); ++c) {
+      const auto column = static_cast<std::size_t>(c);
+      if (line[column] != built[column]) {
+        common::fail(cat("parse_ascii: glyph '", line[column], "' at ",
+                         to_string(Site{r, c}),
+                         " contradicts the built array ('", built[column],
+                         "')"));
+      }
+    }
+  }
+  return array;
 }
 
 }  // namespace fpva::grid

@@ -31,7 +31,9 @@ std::string to_ascii(const ValveArray& array);
 
 /// Reconstructs a layout from a site map. Throws common::Error on malformed
 /// input (ragged lines, even dimensions, illegal characters, parity
-/// violations).
+/// violations) and on a map whose sites the built array contradicts (a
+/// valve on the boundary ring, a wall between two fluid cells), so every
+/// accepted map round-trips through to_ascii().
 ValveArray parse_ascii(const std::string& text);
 
 }  // namespace fpva::grid

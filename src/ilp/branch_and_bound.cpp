@@ -26,6 +26,20 @@ namespace fpva::ilp {
 namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
+/// Distance from the nearest integer below which an LP value counts as
+/// integral.
+constexpr double kIntegralityTolerance = 1e-6;
+/// A node whose LP hits the pivot budget is re-queued this many times with
+/// a 4x larger budget before its dual bound is declared lost.
+constexpr int kMaxLpRetries = 3;
+/// Separation rounds of the root cutting loop. Cut rows are appended to the
+/// live factorized basis, which makes extra rounds nearly free (the loop
+/// stops early once separation dries up), so the cap is generous.
+constexpr int kMaxCutRounds = 16;
+constexpr int kMaxCutsPerRound = 200;  ///< most-violated cuts kept per round
+/// Learned-pool cap: past it, the least active half (LBD tiebreak) is
+/// deleted.
+constexpr int kMaxNogoods = 4000;
 /// Nodes at depth <= this keep a basis checkpoint; after a backtrack jump
 /// the nearest ancestor checkpoint is restored instead of dual-repairing
 /// the warm basis across two unrelated subtrees.
@@ -228,7 +242,7 @@ class Searcher {
         root_propagated_(root_propagated) {
     if (shared_propagator != nullptr) {
       propagator_ = shared_propagator;
-    } else if (options_.node_propagation) {
+    } else {
       own_propagator_.emplace(model);
       propagator_ = &*own_propagator_;
     }
@@ -264,9 +278,8 @@ class Searcher {
     // Conflict-driven learning rides on the propagation machinery: the
     // engine replays the propagator's rows with explanations and consults
     // the learned pool at every node.
-    if (options_.conflict_learning && options_.node_propagation &&
-        propagator_ != nullptr) {
-      conflict_.emplace(model_, *propagator_, options_.max_nogoods,
+    if (options_.conflict_learning) {
+      conflict_.emplace(model_, *propagator_, kMaxNogoods,
                         options_.conflict_observer);
       conflict_->set_root_bounds(root_lower_, root_upper_);
       // Anytime-certificate resume: re-import the globally valid unit
@@ -310,7 +323,7 @@ class Searcher {
       // A model fully fixed upstream (empty column set after substitution)
       // never enters the node loop: the empty point is the incumbent iff
       // the constant rows hold, otherwise the model is proven infeasible.
-      if (model_.is_feasible({}, options_.integrality_tolerance)) {
+      if (model_.is_feasible({}, kIntegralityTolerance)) {
         result.status = ResultStatus::kOptimal;
         result.objective = 0.0;
         result.best_bound = 0.0;
@@ -394,9 +407,7 @@ class Searcher {
       // bounds, or prune the whole subtree without touching the LP.
       // (The root is skipped when presolve already propagated this model
       // to a fixpoint and found nothing.)
-      const bool propagate_here = options_.node_propagation &&
-                                  propagator_ != nullptr &&
-                                  !(node.path.empty() && root_propagated_);
+      const bool propagate_here = !(node.path.empty() && root_propagated_);
       // LP-refutation learning needs the conflict trail this node's
       // explained propagation left behind (analyze_lp_refutation resolves
       // over it), so it is armed only when that propagation actually ran.
@@ -470,7 +481,7 @@ class Searcher {
           if (shared != nullptr) shared->hit_limits();
           break;
         }
-        if (node.retries < options_.max_lp_retries) {
+        if (node.retries < kMaxLpRetries) {
           // Re-queue with a larger pivot budget; the subtree — and with it
           // the optimality certificate — survives a transient limit.
           ++node.retries;
@@ -545,7 +556,7 @@ class Searcher {
               std::round(rounded_[static_cast<std::size_t>(j)]);
         }
       }
-      if (model_.is_feasible(rounded_, options_.integrality_tolerance * 10)) {
+      if (model_.is_feasible(rounded_, kIntegralityTolerance * 10)) {
         const double rounded_objective = model_.lp().objective_value(rounded_);
         if (rounded_objective < incumbent_objective - 1e-12) {
           if (shared != nullptr) {
@@ -565,8 +576,7 @@ class Searcher {
       if (branch_var < 0) {
         // Integer feasible (possibly after snapping within tolerance).
         // rounded_ already holds exactly this snapped point.
-        if (model_.is_feasible(rounded_,
-                               options_.integrality_tolerance * 100) &&
+        if (model_.is_feasible(rounded_, kIntegralityTolerance * 100) &&
             model_.lp().objective_value(rounded_) <
                 incumbent_objective - 1e-12) {
           const double leaf_objective = model_.lp().objective_value(rounded_);
@@ -599,7 +609,7 @@ class Searcher {
       down.depth = node.depth + 1;
       down.lp_budget = options_.lp_iteration_limit;
       down.branch_var = branch_var;
-      down.branch_frac = std::max(frac, options_.integrality_tolerance);
+      down.branch_frac = std::max(frac, kIntegralityTolerance);
       down.branch_up = false;
 
       Node up;
@@ -609,7 +619,7 @@ class Searcher {
       up.depth = node.depth + 1;
       up.lp_budget = options_.lp_iteration_limit;
       up.branch_var = branch_var;
-      up.branch_frac = std::max(1.0 - frac, options_.integrality_tolerance);
+      up.branch_frac = std::max(1.0 - frac, kIntegralityTolerance);
       up.branch_up = true;
 
       const bool prefer_down = frac < 0.5;
@@ -943,8 +953,7 @@ class Searcher {
   static lp::SolveOptions node_lp_options(const Options& options) {
     lp::SolveOptions lp_options;
     lp_options.max_iterations = options.lp_iteration_limit;
-    lp_options.want_duals =
-        options.conflict_learning && options.node_propagation;
+    lp_options.want_duals = options.conflict_learning;
     return lp_options;
   }
 
@@ -1061,7 +1070,7 @@ class Searcher {
       const double v = values[static_cast<std::size_t>(j)];
       const double frac = v - std::floor(v);
       const double distance = std::min(frac, 1.0 - frac);
-      if (distance <= options_.integrality_tolerance) continue;
+      if (distance <= kIntegralityTolerance) continue;
       if (rule == Branching::kInputOrder) return j;
       // Product rule over the two estimated child degradations.
       const double down_gain = pseudocost(j, false) * frac;
@@ -1091,8 +1100,7 @@ class Searcher {
   bool root_propagated_ = false;  ///< presolve already swept the root
   int worker_id_ = 0;             ///< parallel worker id (0 when serial)
   std::size_t publish_cursor_ = 0;  ///< exchange entries already imported
-  /// Conflict-driven learning engine; engaged when conflict_learning and
-  /// node_propagation are both on.
+  /// Conflict-driven learning engine; engaged when conflict_learning is on.
   std::optional<ConflictEngine> conflict_;
   std::vector<ConflictEngine::Decision> decisions_;  ///< per-node scratch
   std::vector<double> lp_ray_scratch_;  ///< negated duals, bound-based learning
@@ -1239,23 +1247,19 @@ RootStage run_root_stage(const Model& base, const Options& options,
 
   Propagator propagator(base);
   std::vector<std::pair<int, int>> implications;
-  if (options.probing) {
-    if (!probe_binaries(base, propagator, lower, upper,
-                        options.clique_cuts ? &implications : nullptr,
-                        &stage.probe_stats)) {
-      stage.infeasible = true;
-      return stage;
-    }
-    for (int j = 0; j < n; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      const lp::Variable& var = base.lp().variable(j);
-      if (lower[js] > var.lower || upper[js] < var.upper) {
-        stage.model.mutable_lp().set_bounds(j, lower[js], upper[js]);
-        stage.changed = true;
-      }
+  if (!probe_binaries(base, propagator, lower, upper, &implications,
+                      &stage.probe_stats)) {
+    stage.infeasible = true;
+    return stage;
+  }
+  for (int j = 0; j < n; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    const lp::Variable& var = base.lp().variable(j);
+    if (lower[js] > var.lower || upper[js] < var.upper) {
+      stage.model.mutable_lp().set_bounds(j, lower[js], upper[js]);
+      stage.changed = true;
     }
   }
-  if (!options.clique_cuts) return stage;
 
   CutSeparator separator(stage.model, lower, upper, implications);
   stage.cliques = separator.clique_count();
@@ -1274,7 +1278,7 @@ RootStage run_root_stage(const Model& base, const Options& options,
 
   std::vector<CandidateCut> cuts;
   std::vector<lp::Term> terms;
-  for (int round = 0; round < options.max_cut_rounds; ++round) {
+  for (int round = 0; round < kMaxCutRounds; ++round) {
     if (timer.seconds() > options.time_limit_seconds * 0.5) break;
     if (options.stop.stop_requested()) break;
     lp::Solution relaxation;
@@ -1291,7 +1295,7 @@ RootStage run_root_stage(const Model& base, const Options& options,
     }
     if (relaxation.status != lp::SolveStatus::kOptimal) break;
 
-    separator.separate(relaxation.values, options.max_cuts_per_round, &cuts);
+    separator.separate(relaxation.values, kMaxCutsPerRound, &cuts);
     if (cuts.empty()) break;
     for (const CandidateCut& cut : cuts) {
       const double rhs = literal_row(cut.literals, cut.rhs_literals, &terms);
@@ -1343,8 +1347,7 @@ Result solve(const Model& model, const Options& options) {
   // so the stage-3 search and the stage-1 postsolve are oblivious to it.
   std::optional<RootStage> stage;
   bool root_propagated = options.presolve;  // stage 1 reached the fixpoint
-  if ((options.probing || options.clique_cuts) &&
-      working->variable_count() > 0) {
+  if (working->variable_count() > 0) {
     stage.emplace(run_root_stage(*working, options, timer));
     if (stage->infeasible) {
       Result result;

@@ -20,10 +20,10 @@
 // heuristic for early incumbents. Designed for the subblock-sized path/cut
 // models of the hierarchical FPVA test generator (hundreds of variables);
 // it is a faithful stand-in for the commercial ILP solver the paper used,
-// not a general-purpose MIP engine. The search-shaping mechanisms
-// (presolve, propagation, probing, root cuts, conflict learning, ...) can
-// be switched off through Options for differential testing; they change
-// the route to the optimum, never the optimum.
+// not a general-purpose MIP engine. Node propagation, root probing and the
+// root clique/cover cutting loop always run; presolve and conflict
+// learning can be switched off through Options as differential-testing
+// references. They change the route to the optimum, never the optimum.
 #ifndef FPVA_ILP_BRANCH_AND_BOUND_H
 #define FPVA_ILP_BRANCH_AND_BOUND_H
 
@@ -72,7 +72,6 @@ struct Options {
   double time_limit_seconds = 120.0;
   long max_nodes = 2'000'000;
   long lp_iteration_limit = 200000;   ///< pivot budget per node LP
-  double integrality_tolerance = 1e-6;
   /// When true, all objective coefficients are integral on integer-feasible
   /// points, so a node with bound > incumbent - 1 can be pruned. All of the
   /// paper's models (minimize the number of used paths) qualify.
@@ -80,35 +79,7 @@ struct Options {
 
   /// Root presolve: bound tightening, implied fixings, row removal.
   bool presolve = true;
-  /// Single-constraint bound propagation at every node (prunes without LP).
-  bool node_propagation = true;
   Branching branching = Branching::kAuto;
-  /// Re-queue a node whose LP hit the pivot budget this many times with a
-  /// 4x larger budget before declaring the dual bound lost.
-  int max_lp_retries = 3;
-  /// Root probing: branch every binary both ways through the propagator,
-  /// keep union bounds/fixings and the discovered conflict edges.
-  bool probing = true;
-  /// Root cutting loop separating violated clique cuts (from the conflict
-  /// graph) and lifted cover cuts (from knapsack-shaped rows), re-solving
-  /// the LP between rounds.
-  bool clique_cuts = true;
-  /// Separation rounds at the root. Cut rows are appended to the live
-  /// factorized basis, which makes extra rounds nearly free (the loop stops
-  /// early once separation dries up), so the cap is generous.
-  int max_cut_rounds = 16;
-  int max_cuts_per_round = 200; ///< most-violated cuts kept per round
-  /// Full orbit-based lexicographic ordering rows instead of the single
-  /// p-ordering row. Read by core/ilp_models when it builds the cut-set
-  /// model (a model-construction switch, not a solver switch); carried here
-  /// so every mechanism of the accelerated pipeline A/Bs through one
-  /// options struct.
-  bool orbit_symmetry_rows = true;
-  /// During III-B-3 budget escalation, pin the chain models' use
-  /// indicators once every smaller budget is proven infeasible (the
-  /// optimum is then exactly the budget), turning the final solve into a
-  /// pure feasibility dive. Read by core/ilp_models' find_minimum_*.
-  bool budget_floor_rows = true;
 
   /// Conflict-driven nogood learning (conflict.h): node propagation runs
   /// with explanations, refuted nodes are analyzed to a 1-UIP nogood, and
@@ -116,8 +87,8 @@ struct Options {
   /// too: an infeasible node LP's Farkas ray — or, for a bound-pruned node,
   /// the exact duals plus the cutoff row — is aggregated into one valid
   /// bound clause over the node's local bounds, verified numerically, and
-  /// run through the same 1-UIP analysis. Requires node_propagation; off
-  /// gives the plain propagate-and-branch search (no duals computed).
+  /// run through the same 1-UIP analysis. Off gives the plain
+  /// propagate-and-branch search (no duals computed).
   bool conflict_learning = true;
   /// Backjump to the assertion level after a conflict (discarding pending
   /// siblings and re-entering the prefix node, where the fresh nogood
@@ -132,9 +103,6 @@ struct Options {
   /// the two, so it stays a switch: off by default, on in bench_certify
   /// and the slow-certify CI job.
   bool conflict_backjumping = false;
-  /// Learned-pool cap: past it, the least active half (LBD tiebreak) is
-  /// deleted.
-  int max_nogoods = 4000;
   /// Test/diagnostic hook: sees every learned nogood at learning time
   /// (before any pool deletion). Not owned; may be null. With threads > 1
   /// the workers share the hook and calls are serialized by a mutex.

@@ -19,12 +19,12 @@ constexpr double kIntTol = kPropIntTol;
 }  // namespace
 
 ConflictEngine::ConflictEngine(const Model& model,
-                               const Propagator& propagator, int max_nogoods,
+                               const Propagator& propagator, int pool_cap,
                                ConflictObserver* observer)
     : model_(model),
       prop_(propagator),
       observer_(observer),
-      max_nogoods_(std::max(max_nogoods, 16)),
+      pool_cap_(std::max(pool_cap, 16)),
       n_(propagator.variable_count()) {
   common::check(model.variable_count() == n_,
                 "ConflictEngine: model/propagator arity mismatch");
@@ -735,7 +735,7 @@ bool ConflictEngine::import_nogood(const Nogood& nogood) {
   pool_.push_back(std::move(copy));
   register_nogood(static_cast<int>(pool_.size()) - 1);
   ++stats_.nogoods_imported;
-  if (static_cast<int>(pool_.size()) > max_nogoods_) reduce_pool();
+  if (static_cast<int>(pool_.size()) > pool_cap_) reduce_pool();
   return true;
 }
 
@@ -756,7 +756,7 @@ void ConflictEngine::reduce_pool() {
     }
     return a < b;
   });
-  const std::size_t keep = static_cast<std::size_t>(max_nogoods_) / 2;
+  const std::size_t keep = static_cast<std::size_t>(pool_cap_) / 2;
   order.resize(std::min(order.size(), keep));
   std::sort(order.begin(), order.end());  // preserve age order in the pool
   std::vector<Nogood> kept;
@@ -806,7 +806,7 @@ ConflictEngine::NodeOutcome ConflictEngine::propagate_node(
   }
   lower_ = nullptr;
   upper_ = nullptr;
-  if (static_cast<int>(pool_.size()) > max_nogoods_) reduce_pool();
+  if (static_cast<int>(pool_.size()) > pool_cap_) reduce_pool();
   return out;
 }
 
@@ -837,7 +837,7 @@ ConflictEngine::NodeOutcome ConflictEngine::analyze_lp_refutation(
   conflict_lits_.clear();
   lower_ = nullptr;
   upper_ = nullptr;
-  if (static_cast<int>(pool_.size()) > max_nogoods_) reduce_pool();
+  if (static_cast<int>(pool_.size()) > pool_cap_) reduce_pool();
   return out;
 }
 

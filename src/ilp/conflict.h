@@ -115,9 +115,10 @@ class ConflictEngine {
   };
 
   /// `propagator` and `model` must describe the same constraint system and
-  /// outlive the engine. `observer` may be null.
+  /// outlive the engine. `observer` may be null. Past `pool_cap` learned
+  /// nogoods (at least 16), the least active half (LBD tiebreak) is deleted.
   ConflictEngine(const Model& model, const Propagator& propagator,
-                 int max_nogoods, ConflictObserver* observer);
+                 int pool_cap, ConflictObserver* observer);
 
   /// The node-loop base bounds (the search's root bounds). Literals these
   /// bounds already satisfy are globally true and never enter a nogood.
@@ -228,7 +229,7 @@ class ConflictEngine {
   const Model& model_;
   const Propagator& prop_;
   ConflictObserver* observer_ = nullptr;
-  int max_nogoods_ = 0;
+  int pool_cap_ = 0;
   int n_ = 0;
 
   std::vector<lp::Term> objective_terms_;  ///< nonzero objective entries

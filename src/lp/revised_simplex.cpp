@@ -24,10 +24,6 @@ constexpr double kDevexReset = 1e8;
 
 RevisedSimplex::RevisedSimplex(const Model& model, SolveOptions options)
     : options_(options) {
-  LuFactorization::Options lu_options;
-  lu_options.max_updates = options_.refactor_update_limit;
-  lu_options.fill_ratio = options_.refactor_fill_ratio;
-  lu_ = LuFactorization(lu_options);
   n_ = model.variable_count();
   m_ = model.constraint_count();
   first_artificial_ = n_ + m_;
@@ -307,7 +303,7 @@ void RevisedSimplex::add_row(const std::vector<Term>& terms, Sense sense,
   m_ += 1;
   // The CSC mirror and the scratch sizes are refreshed once per batch of
   // appended rows (flush_row_additions at the next solve entry), not per
-  // row — the cutting loop appends up to max_cuts_per_round rows between
+  // row — the root cutting loop appends up to 200 rows per round between
   // solves. Nothing below needs them: the live-basis extension works off
   // the merged terms and basis_ alone.
   rows_dirty_ = true;
@@ -815,7 +811,7 @@ void RevisedSimplex::reset_to_slack_basis() {
     const double r = residual[is];
     const double slo = lower_[slack];
     const double shi = upper_[slack];
-    if (r >= slo - options_.tolerance && r <= shi + options_.tolerance) {
+    if (r >= slo - kTolerance && r <= shi + kTolerance) {
       // Slack absorbs the residual; artificial stays fixed at zero.
       state_[slack] = VarState::kBasic;
       x_[slack] = std::min(std::max(r, slo), shi);
@@ -829,7 +825,7 @@ void RevisedSimplex::reset_to_slack_basis() {
       // Park the slack at its violated (finite) end; the artificial takes
       // the leftover with a sign that keeps it nonnegative.
       const double clamped = std::min(std::max(r, slo), shi);
-      state_[slack] = clamped <= slo + options_.tolerance
+      state_[slack] = clamped <= slo + kTolerance
                           ? VarState::kAtLower
                           : VarState::kAtUpper;
       x_[slack] = clamped;
@@ -849,15 +845,15 @@ void RevisedSimplex::reset_to_slack_basis() {
 bool RevisedSimplex::price(const std::vector<double>& y, bool bland,
                            int* entering, double* violation) const {
   int best = -1;
-  double best_violation = options_.tolerance;
+  double best_violation = kTolerance;
   double best_score = 0.0;
   const bool use_devex = devex() && !bland;
   const auto consider = [&](int j, double d) {
     const auto js = static_cast<std::size_t>(j);
     double v = 0.0;
-    if (state_[js] == VarState::kAtLower && d < -options_.tolerance) {
+    if (state_[js] == VarState::kAtLower && d < -kTolerance) {
       v = -d;
-    } else if (state_[js] == VarState::kAtUpper && d > options_.tolerance) {
+    } else if (state_[js] == VarState::kAtUpper && d > kTolerance) {
       v = d;
     } else {
       return false;
@@ -1072,7 +1068,7 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
 
     ++iterations_;
     ++total_iterations_;
-    if (t <= options_.tolerance) {
+    if (t <= kTolerance) {
       ++consecutive_degenerate;
     } else {
       consecutive_degenerate = 0;
@@ -1124,7 +1120,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
     // violation under Dantzig, violation^2 / row weight under devex (under
     // Bland's anti-cycling rule: the lowest-index violated basic).
     int leaving_row = -1;
-    double worst = options_.tolerance;
+    double worst = kTolerance;
     double worst_score = 0.0;
     bool below = false;
     for (int i = 0; i < m_; ++i) {
@@ -1133,7 +1129,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
       const double under = lower_[bs] - x_[bs];
       const double over = x_[bs] - upper_[bs];
       const double violation = std::max(under, over);
-      if (violation <= options_.tolerance) continue;
+      if (violation <= kTolerance) continue;
       bool take;
       if (bland) {
         take = leaving_row < 0 ||
@@ -1363,7 +1359,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
 
     ++iterations_;
     ++total_iterations_;
-    if (best_ratio <= options_.tolerance) {
+    if (best_ratio <= kTolerance) {
       ++consecutive_degenerate;
     } else {
       consecutive_degenerate = 0;
@@ -1476,7 +1472,7 @@ Solution RevisedSimplex::run_two_phase() {
     for (int j = first_artificial_; j < total_; ++j) {
       infeasibility += x_[static_cast<std::size_t>(j)];
     }
-    if (infeasibility > options_.tolerance * 10) {
+    if (infeasibility > kTolerance * 10) {
       // Phase-1 optimum with residual infeasibility. The phase-1 duals y
       // (cost_ still holds the artificial costs here) price every real
       // column nonnegatively, so w = -y satisfies the farkas_ray sign
@@ -1542,9 +1538,9 @@ void RevisedSimplex::reset_to_dual_crash() {
     const auto js = static_cast<std::size_t>(j);
     const double c = objective_[js];
     bool at_lower;
-    if (c > options_.tolerance) {
+    if (c > kTolerance) {
       at_lower = true;
-    } else if (c < -options_.tolerance) {
+    } else if (c < -kTolerance) {
       at_lower = false;
     } else {
       at_lower = std::abs(lower_[js]) <= std::abs(upper_[js]);
@@ -1601,7 +1597,7 @@ Solution RevisedSimplex::reoptimize_from_basis() {
   // pivots. The perturbation leans each nonbasic variable further into
   // dual feasibility, and the exact-cost primal polish below removes its
   // O(tolerance) footprint before the solution is reported.
-  const double scale = options_.tolerance * 16.0;
+  const double scale = kTolerance * 16.0;
   std::fill(cost_.begin(), cost_.end(), 0.0);
   for (int j = 0; j < n_; ++j) {
     const auto js = static_cast<std::size_t>(j);

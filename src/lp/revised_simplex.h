@@ -222,7 +222,9 @@ class RevisedSimplex {
   std::vector<int> eta_index_;     ///< shared arena: off-pivot row indices
   std::vector<double> eta_value_;  ///< shared arena: off-pivot coefficients
   int factor_etas_ = 0;  ///< etas belonging to the factorization itself
-  LuFactorization lu_;   ///< active when options_.factorization == kForrestTomlin
+  /// Active when options_.factorization == kForrestTomlin; its default
+  /// Options fix the refactorization policy (100 updates, 3x fill).
+  LuFactorization lu_;
   bool factor_rebuilt_ = false;  ///< factor_update refactorized mid-pivot
   bool rows_dirty_ = false;      ///< add_row deferred the CSC/scratch refresh
   bool basis_valid_ = false;

@@ -35,7 +35,7 @@ class SimplexSolver {
       for (int j = first_artificial_; j < total_vars_; ++j) {
         infeasibility += x_[static_cast<std::size_t>(j)];
       }
-      if (infeasibility > options_.tolerance * 10) {
+      if (infeasibility > kTolerance * 10) {
         result.status = SolveStatus::kInfeasible;
         return result;
       }
@@ -156,7 +156,7 @@ class SimplexSolver {
       const double r = residual[static_cast<std::size_t>(i)];
       const double lo = slack_lower[static_cast<std::size_t>(i)];
       const double hi = slack_upper[static_cast<std::size_t>(i)];
-      if (r >= lo - options_.tolerance && r <= hi + options_.tolerance) {
+      if (r >= lo - kTolerance && r <= hi + kTolerance) {
         slack_value[static_cast<std::size_t>(i)] =
             std::min(std::max(r, lo), hi);
       } else {
@@ -195,7 +195,7 @@ class SimplexSolver {
         state_[static_cast<std::size_t>(slack)] =
             slack_value[static_cast<std::size_t>(i)] <=
                     slack_lower[static_cast<std::size_t>(i)] +
-                        options_.tolerance
+                        kTolerance
                 ? VarState::kAtLower
                 : VarState::kAtUpper;
       }
@@ -288,17 +288,17 @@ class SimplexSolver {
 
       // --- Pricing: pick the entering variable. ---
       int entering = -1;
-      double best_violation = options_.tolerance;
+      double best_violation = kTolerance;
       for (int j = 0; j < total_vars_; ++j) {
         const auto js = static_cast<std::size_t>(j);
         if (state_[js] == VarState::kBasic) continue;
         if (upper_[js] - lower_[js] <= 0.0) continue;  // fixed
         const double d = reduced_[js];
         double violation = 0.0;
-        if (state_[js] == VarState::kAtLower && d < -options_.tolerance) {
+        if (state_[js] == VarState::kAtLower && d < -kTolerance) {
           violation = -d;
         } else if (state_[js] == VarState::kAtUpper &&
-                   d > options_.tolerance) {
+                   d > kTolerance) {
           violation = d;
         } else {
           continue;
@@ -377,7 +377,7 @@ class SimplexSolver {
       pivot(leaving_row, entering);
 
       ++iterations_;
-      if (t <= options_.tolerance) {
+      if (t <= kTolerance) {
         ++consecutive_degenerate;
       } else {
         consecutive_degenerate = 0;

@@ -45,18 +45,14 @@ enum class Factorization {
   kEta,
 };
 
+/// Feasibility/optimality tolerance of both simplex engines.
+inline constexpr double kTolerance = 1e-7;
+
 struct SolveOptions {
   long max_iterations = 200000;  ///< total pivot budget over both phases
-  double tolerance = 1e-7;       ///< feasibility/optimality tolerance
   Algorithm algorithm = Algorithm::kRevised;
   Pricing pricing = Pricing::kDevex;
   Factorization factorization = Factorization::kForrestTomlin;
-  /// Forrest-Tomlin updates tolerated before a refactorization is
-  /// scheduled (the eta file keeps its fixed every-64 interval).
-  int refactor_update_limit = 100;
-  /// Refactorize when the LU operator file grows past this multiple of
-  /// the fresh-factor nonzeros.
-  double refactor_fill_ratio = 3.0;
   /// Fill Solution::row_duals / reduced_costs on optimal exits of the
   /// revised engine. Costs an extra BTRAN plus a pricing pass per solve,
   /// so it is off unless the caller consumes duals (LP conflict learning).

@@ -422,46 +422,90 @@ TEST(ConflictEngineTest, PoolDeletionKeepsMostActiveHalf) {
   EXPECT_LE(static_cast<int>(engine.pool().size()), 16);
 }
 
+TEST(ConflictEngineTest, PoolCapOfOneClampsToSixteen) {
+  // A cap of one would evict on every second learn and leave the search
+  // effectively memoryless; the engine clamps it to 16. Past that, the
+  // pool reduces to its most active half, and every clause it keeps must
+  // still be a checked refutation that propagates at a fresh node.
+  Model model;
+  std::vector<int> xs;
+  for (int i = 0; i < 24; ++i) {
+    const int x = model.add_binary(0.0);
+    const int y = model.add_binary(0.0);
+    model.add_constraint({{x, 1.0}, {y, 1.0}}, lp::Sense::kGreaterEqual, 2.0);
+    xs.push_back(x);
+  }
+  Propagator propagator(model);
+  ConflictEngine engine(model, propagator, 1, nullptr);
+  std::vector<double> lower(48, 0.0);
+  std::vector<double> upper(48, 1.0);
+  for (int i = 0; i < 24; ++i) {
+    std::fill(lower.begin(), lower.end(), 0.0);
+    std::fill(upper.begin(), upper.end(), 1.0);
+    const ConflictEngine::Decision decision{xs[static_cast<std::size_t>(i)],
+                                            0.0, 0.0};
+    EXPECT_FALSE(engine.propagate_node({decision}, lower, upper).feasible)
+        << i;
+  }
+  EXPECT_EQ(engine.stats().nogoods_learned, 24L);
+  EXPECT_GT(engine.stats().nogoods_deleted, 0L);
+  EXPECT_LE(static_cast<int>(engine.pool().size()), 16);
+  EXPECT_GT(static_cast<int>(engine.pool().size()), 1);
+
+  std::fill(lower.begin(), lower.end(), 0.0);
+  std::fill(upper.begin(), upper.end(), 1.0);
+  ASSERT_TRUE(engine.propagate_node({}, lower, upper).feasible);
+  for (const Nogood& kept : engine.pool()) {
+    EXPECT_TRUE(checker_refutes(model, kept, {}));
+    ASSERT_EQ(kept.lits.size(), 1u);
+    EXPECT_EQ(lower[static_cast<std::size_t>(kept.lits[0].var)], 1.0);
+  }
+}
+
 // ------------------------------------------------------- LP-sourced clauses
 
-/// Odd-cycle instance whose s = 0 subtree is propagation-feasible but
-/// LP-infeasible: the pairwise rows x+y<=1, x+z<=1, y+z<=1 only admit
-/// x+y+z <= 1.5 fractionally, while the coverage row demands
-/// x+y+z >= 2 - 3s. Single-constraint propagation cannot reason across
-/// rows, so only the Farkas ray of the node LP can turn that refutation
-/// into a clause — which must pass the extended explanation checker and
-/// leave the optimum exactly where the learning-off search finds it.
+/// Odd-hole instance whose s = 0 subtree is propagation-feasible but
+/// LP-infeasible: the cyclic pairwise rows x_i + x_{i+1} <= 1 over five
+/// binaries only admit sum x <= 2.5 fractionally, while the coverage row
+/// demands sum x >= 3 - 5s. Single-constraint propagation cannot reason
+/// across rows, and the hole has no clique beyond its edges for the root
+/// clique cuts to add, so only the Farkas ray of the node LP can turn that
+/// refutation into a clause — which must pass the extended explanation
+/// checker and leave the optimum exactly where the learning-off search
+/// finds it.
 TEST(LpConflictTest, FarkasRefutationLearnsCheckedClause) {
   Model model;
   const int s = model.add_binary(2.0);
-  const int x = model.add_binary(-1.0);
-  const int y = model.add_binary(-1.0);
-  const int z = model.add_binary(-1.0);
-  model.add_constraint({{x, 1.0}, {y, 1.0}}, lp::Sense::kLessEqual, 1.0);
-  model.add_constraint({{x, 1.0}, {z, 1.0}}, lp::Sense::kLessEqual, 1.0);
-  model.add_constraint({{y, 1.0}, {z, 1.0}}, lp::Sense::kLessEqual, 1.0);
-  model.add_constraint({{x, 1.0}, {y, 1.0}, {z, 1.0}, {s, 3.0}},
-                       lp::Sense::kGreaterEqual, 2.0);
+  std::vector<int> xs;
+  for (int i = 0; i < 5; ++i) xs.push_back(model.add_binary(-1.0));
+  std::vector<lp::Term> coverage = {{s, 5.0}};
+  for (int i = 0; i < 5; ++i) {
+    const int x = xs[static_cast<std::size_t>(i)];
+    const int next = xs[static_cast<std::size_t>((i + 1) % 5)];
+    model.add_constraint({{x, 1.0}, {next, 1.0}}, lp::Sense::kLessEqual, 1.0);
+    coverage.push_back({x, 1.0});
+  }
+  model.add_constraint(std::move(coverage), lp::Sense::kGreaterEqual, 3.0);
 
-  CheckingObserver observer("farkas odd cycle");
-  Options on;
-  on.presolve = false;  // keep the engine on the 4 rows written above
-  on.probing = false;
-  on.clique_cuts = false;
-  on.branching = Branching::kInputOrder;  // dive s = 0 first (s is var 0)
-  on.conflict_observer = &observer;
-  Options off = on;
-  off.conflict_learning = false;
-  off.conflict_observer = nullptr;
+  for (const bool presolve : {false, true}) {
+    CheckingObserver observer("farkas odd hole");
+    Options on;
+    on.presolve = presolve;
+    on.branching = Branching::kInputOrder;  // dive s = 0 first (s is var 0)
+    on.conflict_observer = &observer;
+    Options off = on;
+    off.conflict_learning = false;
+    off.conflict_observer = nullptr;
 
-  const Result with = solve(model, on);
-  const Result without = solve(model, off);
-  ASSERT_EQ(with.status, ResultStatus::kOptimal);
-  ASSERT_EQ(without.status, ResultStatus::kOptimal);
-  EXPECT_EQ(with.objective, without.objective);
-  EXPECT_GE(with.lp_conflicts, 1L);
-  EXPECT_GE(with.lp_nogoods_learned, 1L);
-  EXPECT_GT(observer.seen(), 0L);
+    const Result with = solve(model, on);
+    const Result without = solve(model, off);
+    ASSERT_EQ(with.status, ResultStatus::kOptimal) << presolve;
+    ASSERT_EQ(without.status, ResultStatus::kOptimal) << presolve;
+    EXPECT_EQ(with.objective, without.objective) << presolve;
+    EXPECT_GE(with.lp_conflicts, 1L) << presolve;
+    EXPECT_GE(with.lp_nogoods_learned, 1L) << presolve;
+    EXPECT_GT(observer.seen(), 0L) << presolve;
+  }
 }
 
 // ------------------------------------------------------------ fuzz drivers
@@ -541,19 +585,17 @@ TEST(ConflictExplanationTest, ChainAndCutSetInstancesEveryNogoodChecks) {
 
 // ---------------------------------------------------- learning differentials
 
-/// The probing / clique-cut / input-order switch matrix, re-run with
-/// conflict learning on and off: optima bit-equal in every cell.
-TEST(ConflictDifferentialTest, SwitchMatrixOptimaIdenticalLearningOnAndOff) {
+/// Both branching rules, re-run with conflict learning off, on, and on
+/// with backjumping: optima bit-equal in every cell.
+TEST(ConflictDifferentialTest, BranchingOptimaIdenticalLearningOnAndOff) {
   for (int instance = 0; instance < 6; ++instance) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 48271 + 7);
     const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
-    for (int mask = 0; mask < 8; ++mask) {
+    for (const Branching branching :
+         {Branching::kAuto, Branching::kInputOrder}) {
       Options base;
       base.objective_is_integral = true;
-      base.probing = (mask & 1) != 0;
-      base.clique_cuts = (mask & 2) != 0;
-      base.branching = (mask & 4) != 0 ? Branching::kInputOrder
-                                       : Branching::kAuto;
+      base.branching = branching;
       Options off = base;
       off.conflict_learning = false;
       Options on = base;
@@ -561,14 +603,15 @@ TEST(ConflictDifferentialTest, SwitchMatrixOptimaIdenticalLearningOnAndOff) {
       Options jumping = on;
       jumping.conflict_backjumping = true;
       const Result b = solve(model, off);
+      const int rule = static_cast<int>(branching);
       for (const Options* config : {&on, &jumping}) {
         const Result a = solve(model, *config);
         ASSERT_EQ(a.status, b.status)
-            << "instance " << instance << " mask " << mask << " jump "
+            << "instance " << instance << " branching " << rule << " jump "
             << config->conflict_backjumping;
         if (a.status == ResultStatus::kOptimal) {
           EXPECT_EQ(a.objective, b.objective)
-              << "instance " << instance << " mask " << mask << " jump "
+              << "instance " << instance << " branching " << rule << " jump "
               << config->conflict_backjumping;
         }
       }

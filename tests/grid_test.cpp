@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
 #include "grid/builder.h"
 #include "grid/presets.h"
 #include "grid/serialize.h"
@@ -172,6 +177,11 @@ TEST(SerializeTest, RejectsMalformedMaps) {
   EXPECT_THROW(parse_ascii("+#+\n#.#"), common::Error);   // even rows
   EXPECT_THROW(parse_ascii("+#+\n#.\n+#+"), common::Error);  // ragged
   EXPECT_THROW(parse_ascii("+#+\n#?#\n+#+"), common::Error);  // bad glyph
+  // Glyphs the built array contradicts: a valve on the boundary ring
+  // (built as a wall) and a wall between two fluid cells (built as a
+  // valve).
+  EXPECT_THROW(parse_ascii("+v+\nS.M\n+#+"), common::Error);
+  EXPECT_THROW(parse_ascii("+#+#+\nS.#.M\n+#+#+"), common::Error);
 }
 
 TEST(SerializeTest, ParseRequiresPorts) {
@@ -179,6 +189,68 @@ TEST(SerializeTest, ParseRequiresPorts) {
   const ValveArray array = parse_ascii("+#+\nS.M\n+#+");
   EXPECT_EQ(array.valve_count(), 0);
   EXPECT_EQ(array.ports().size(), 2u);
+}
+
+/// Every glyph the site-map legend knows.
+constexpr char kGlyphs[] = {'+', '.', '#', 'v', 'o', 'S', 'M'};
+
+/// A mutated map must either be rejected with common::Error or parse into
+/// an array that renders back to exactly that map. Returns whether it was
+/// accepted.
+bool expect_rejected_or_round_trip(const std::string& mutated,
+                                   const std::string& context) {
+  try {
+    const ValveArray parsed = parse_ascii(mutated);
+    EXPECT_EQ(to_ascii(parsed), mutated) << context;
+    return true;
+  } catch (const common::Error&) {
+    return false;
+  }
+}
+
+TEST(SerializeTest, EverySingleGlyphMutationThrowsOrRoundTrips) {
+  // All 49 sites x 6 other glyphs of the full 3x3 map.
+  const std::string text = to_ascii(full_array(3, 3));
+  int accepted = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\n') continue;
+    for (const char glyph : kGlyphs) {
+      if (glyph == text[i]) continue;
+      std::string mutated = text;
+      mutated[i] = glyph;
+      accepted += expect_rejected_or_round_trip(
+                      mutated, "offset " + std::to_string(i) + " glyph " +
+                                   std::string(1, glyph))
+                      ? 1
+                      : 0;
+    }
+  }
+  EXPECT_GT(accepted, 0);  // e.g. a valve turned into an open channel
+}
+
+TEST(SerializeTest, SeededMutationsOfPresetsThrowOrRoundTrip) {
+  std::vector<ValveArray> arrays;
+  for (const int n : table1_sizes()) arrays.push_back(table1_array(n));
+  arrays.push_back(fig9_array());
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    const std::string text = to_ascii(arrays[a]);
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      common::Rng rng(seed * 7919 + a);
+      std::string mutated = text;
+      // One to three glyph changes per map.
+      const auto changes = static_cast<int>(rng.next_in(1, 3));
+      for (int k = 0; k < changes; ++k) {
+        std::size_t i = 0;
+        do {
+          i = static_cast<std::size_t>(rng.next_below(mutated.size()));
+        } while (mutated[i] == '\n');
+        mutated[i] = kGlyphs[rng.next_below(std::size(kGlyphs))];
+      }
+      expect_rejected_or_round_trip(
+          mutated, "array " + std::to_string(a) + " seed=" +
+                       std::to_string(seed));
+    }
+  }
 }
 
 }  // namespace

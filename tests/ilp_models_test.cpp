@@ -69,35 +69,6 @@ TEST(IlpCutModelTest, TwoByTwoStaircaseStructure) {
   for (const bool c : covered) EXPECT_TRUE(c);
 }
 
-TEST(IlpCutModelTest, OrbitSymmetryRowsPreserveTheOptimum) {
-  // The orbit-based lexicographic ordering rows only cut permuted copies
-  // of covers: the minimal budget and the covered valve set must be
-  // identical with and without them.
-  const auto array = grid::full_array(2, 2);
-  ilp::Options with_orbit = fast_options();
-  with_orbit.orbit_symmetry_rows = true;
-  ilp::Options without_orbit = fast_options();
-  without_orbit.orbit_symmetry_rows = false;
-  const auto on = find_minimum_cut_sets(array, 1, 4, true, with_orbit);
-  const auto off = find_minimum_cut_sets(array, 1, 4, true, without_orbit);
-  ASSERT_TRUE(on.has_value());
-  ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(on->cut_budget, off->cut_budget);
-  EXPECT_TRUE(on->proven_minimal);
-  EXPECT_TRUE(off->proven_minimal);
-  const auto covered = [&](const IlpCutResult& result) {
-    std::vector<bool> mask(static_cast<std::size_t>(array.valve_count()),
-                           false);
-    for (const CutSet& cut : result.cuts) {
-      for (const grid::ValveId v : cut_valves(array, cut)) {
-        mask[static_cast<std::size_t>(v)] = true;
-      }
-    }
-    return mask;
-  };
-  EXPECT_EQ(covered(*on), covered(*off));
-}
-
 TEST(IlpPathModelTest, FindMinimumCertifiesTheBudget) {
   const auto array = grid::full_array(2, 2);
   const auto result = find_minimum_flow_paths(array, 1, 4, fast_options());

@@ -214,27 +214,24 @@ TEST_P(IlpDifferentialTest, DefaultMatchesBruteForceOptimum) {
 INSTANTIATE_TEST_SUITE_P(RandomMips, IlpDifferentialTest,
                          ::testing::Range(0, 30));
 
-class IlpSwitchMatrixTest : public ::testing::TestWithParam<int> {};
+class IlpBranchingTest : public ::testing::TestWithParam<int> {};
 
-// Every combination of probing, clique cuts and input-order branching must
-// find the enumerated optimum on random MIPs: the switches trade speed,
-// never answers.
-TEST_P(IlpSwitchMatrixTest, AllSwitchCombinationsMatchBruteForce) {
+// Both branching rules must find the enumerated optimum on random MIPs:
+// the rule trades speed, never answers.
+TEST_P(IlpBranchingTest, EveryBranchingRuleMatchesBruteForce) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271828 + 17);
   const Model model = random_mip(rng);
-  for (int mask = 0; mask < 8; ++mask) {
+  for (const Branching branching :
+       {Branching::kAuto, Branching::kInputOrder}) {
     Options options;
     options.objective_is_integral = true;
-    options.probing = (mask & 1) != 0;
-    options.clique_cuts = (mask & 2) != 0;
-    options.branching = (mask & 4) != 0 ? Branching::kInputOrder
-                                        : Branching::kAuto;
-    SCOPED_TRACE(mask);
+    options.branching = branching;
+    SCOPED_TRACE(static_cast<int>(branching));
     expect_brute_force_answer(model, solve(model, options));
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomMips, IlpSwitchMatrixTest,
+INSTANTIATE_TEST_SUITE_P(RandomMips, IlpBranchingTest,
                          ::testing::Range(0, 8));
 
 TEST(BranchAndBoundTest, FullyFixedModelSkipsNodeLoop) {
@@ -337,7 +334,6 @@ TEST(BranchAndBoundTest, TinyPivotBudgetStillProvesOptimality) {
   Options options;
   options.objective_is_integral = true;
   options.lp_iteration_limit = 1;  // absurdly small: every node LP stalls
-  options.max_lp_retries = 10;
   const Result result = solve(model, options);
   Options reference;
   reference.objective_is_integral = true;

@@ -43,9 +43,8 @@ TEST(MaskingTest, TwoFaultGuaranteeOnFull5x5) {
   const auto array = grid::full_array(5, 5);
   const sim::Simulator simulator(array);
   auto set = generate_test_set(array);
-  TwoFaultAuditOptions options;
   const auto audit =
-      audit_and_repair_two_faults(array, simulator, set.vectors, options);
+      audit_and_repair_two_faults(array, simulator, set.vectors);
   EXPECT_TRUE(audit.after.complete())
       << audit.after.undetected.size() << " fault pairs escape";
   EXPECT_GT(audit.before.total_pairs, 0);

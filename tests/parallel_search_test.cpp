@@ -31,26 +31,19 @@ namespace {
 using test_support::random_mip;
 
 /// A model whose tree is too large to finish within the cancellation
-/// tests' grace period: no integral-objective pruning, so the 0.5 gap
-/// between the LP bound and the rounded incumbent never closes early.
-/// Pair with slow_options(): presolve would tighten the fractional rhs to
-/// an integer, and the root cover-cut separation would close the gap
-/// outright — either way the root would already be optimal.
+/// tests' grace period: the parity row 2 * sum x = 25 has no integer
+/// point, but every node LP that fixes at most 12 binaries to each value
+/// is feasible at sum x = 12.5. Single-row propagation, probing and the root
+/// clique/cover cuts see nothing to tighten, so the default search has to
+/// enumerate tens of thousands of nodes to refute it.
 ilp::Model slow_model() {
   ilp::Model model;
   std::vector<lp::Term> sum;
-  for (int i = 0; i < 22; ++i) {
-    sum.push_back({model.add_binary(-1.0), 1.0});
+  for (int i = 0; i < 25; ++i) {
+    sum.push_back({model.add_binary(-1.0), 2.0});
   }
-  model.add_constraint(std::move(sum), lp::Sense::kLessEqual, 11.5);
+  model.add_constraint(std::move(sum), lp::Sense::kEqual, 25.0);
   return model;
-}
-
-ilp::Options slow_options() {
-  ilp::Options options;
-  options.presolve = false;
-  options.clique_cuts = false;
-  return options;
 }
 
 TEST(ParallelBnbTest, SameOptimumAcrossThreadCounts) {
@@ -135,7 +128,7 @@ TEST(ParallelBnbTest, PreTrippedStopTokenStopsPromptly) {
   for (const int threads : {1, 4}) {
     common::StopSource source;
     source.request_stop();
-    ilp::Options options = slow_options();
+    ilp::Options options;
     options.threads = threads;
     options.stop = source.token();
     const ilp::Result result = ilp::solve(model, options);
@@ -152,7 +145,7 @@ TEST(ParallelBnbTest, MidRunCancellationWindsDown) {
   const ilp::Model model = slow_model();
   for (const int threads : {1, 4}) {
     common::StopSource source;
-    ilp::Options options = slow_options();
+    ilp::Options options;
     options.threads = threads;
     options.stop = source.token();
     options.max_nodes = 500000;  // safety net if cancellation regresses

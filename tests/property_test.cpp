@@ -253,10 +253,11 @@ std::vector<std::string> coverage_signature(
   return signature;
 }
 
-// Flow-path and cut-set ILP generators, default vs all-switches-off option
-// sets, on small full arrays and one irregular array: identical budgets,
-// pinned at their known minima (two paths on every array here, two cuts
-// on the 2x2), and identical structural covers.
+// Flow-path and cut-set ILP generators, default vs all-switches-off
+// (presolve and learning off) option sets, on small full arrays and one
+// irregular array: identical budgets, pinned at their known minima (two
+// paths on every array here, two cuts on the 2x2), and identical
+// structural covers.
 TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines) {
   std::vector<grid::ValveArray> arrays;
   arrays.push_back(grid::full_array(2, 2));
@@ -292,8 +293,8 @@ TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines)
     };
     EXPECT_EQ(covered_by_paths(*default_paths), covered_by_paths(*off_paths));
 
-    // Cut sets (2x2-sized models only: the all-off pipeline has no root
-    // cuts, probing or learning to close anything larger quickly).
+    // Cut sets (2x2-sized models only: the all-off pipeline has no
+    // presolve or learning to close anything larger quickly).
     if (array.valve_count() <= 4) {
       const auto default_cuts = core::find_minimum_cut_sets(array, 1, 4, true);
       const auto off_cuts =

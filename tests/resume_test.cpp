@@ -70,8 +70,6 @@ TEST(ResumeTest, SeedLiteralsApplyWithoutConflictLearning) {
 
   ilp::Options base;
   base.presolve = false;  // keep seed indices in the original space
-  base.probing = false;
-  base.clique_cuts = false;
   base.objective_is_integral = true;
   const ilp::Result unseeded = ilp::solve(model, base);
   ASSERT_EQ(unseeded.status, ilp::ResultStatus::kOptimal);
@@ -213,7 +211,7 @@ TEST(ResumeTest, ConfigMismatchDegradesToLiveSolve) {
   }
   // A different search configuration must not trust the old refutations.
   ilp::Options changed = fast_options();
-  changed.orbit_symmetry_rows = false;
+  changed.conflict_backjumping = true;
   CertStore store(dir);
   const auto resumed =
       find_minimum_cut_sets(array, 1, 4, true, changed, &store);
