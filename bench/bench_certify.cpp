@@ -36,11 +36,9 @@
 //   3  campaign ran but the certificate is incomplete: abandoned stages,
 //      an unproven cover, or a deadline checkpoint (resume by rerunning
 //      with the same store-dir)
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -49,6 +47,7 @@
 #include "common/failpoint.h"
 #include "common/parallel.h"
 #include "common/stop.h"
+#include "common/strings.h"
 #include "core/cert_store.h"
 #include "core/ilp_models.h"
 #include "grid/presets.h"
@@ -77,26 +76,20 @@ const char* status_name(fpva::ilp::ResultStatus status) {
   std::exit(2);
 }
 
-/// Strict numeric parsing: atoi-style silent zeroes on garbage have bitten
-/// this probe before (a mistyped flag order quietly became "0 threads"),
-/// and a value past int range must not wrap (4294967298 is not n = 2).
-int parse_int(const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      value < std::numeric_limits<int>::min() ||
-      value > std::numeric_limits<int>::max()) {
-    usage_error();
-  }
-  return static_cast<int>(value);
+/// Strict numeric arguments: atoi-style silent zeroes on garbage have
+/// bitten this probe before (a mistyped flag order quietly became "0
+/// threads"), and a value past int range must not wrap (4294967298 is not
+/// n = 2).
+int int_arg(const char* text) {
+  const std::optional<int> value = fpva::common::parse_int(text);
+  if (!value) usage_error();
+  return *value;
 }
 
-double parse_double(const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') usage_error();
-  return value;
+double double_arg(const char* text) {
+  const std::optional<double> value = fpva::common::parse_double(text);
+  if (!value) usage_error();
+  return *value;
 }
 
 }  // namespace
@@ -110,12 +103,12 @@ int main(int argc, char** argv) {
   std::string store_dir = "-";
   double deadline_seconds = 0.0;  // 0 = none
   if (argc > 7) usage_error();
-  if (argc > 1) n = parse_int(argv[1]);
-  if (argc > 2) stage_seconds = parse_double(argv[2]);
+  if (argc > 1) n = int_arg(argv[1]);
+  if (argc > 2) stage_seconds = double_arg(argv[2]);
   if (argc > 3) out_path = argv[3];
-  if (argc > 4) threads = parse_int(argv[4]);
+  if (argc > 4) threads = int_arg(argv[4]);
   if (argc > 5) store_dir = argv[5];
-  if (argc > 6) deadline_seconds = parse_double(argv[6]);
+  if (argc > 6) deadline_seconds = double_arg(argv[6]);
   // Each stage starts `threads` OS threads, so more than the machine has
   // cores is refused rather than oversubscribed.
   if (n < 2 || n > 12 || stage_seconds <= 0.0 || threads < 0 ||

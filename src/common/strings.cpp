@@ -1,7 +1,11 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "common/check.h"
 
@@ -63,6 +67,27 @@ std::string pad_right(std::string_view text, std::size_t width) {
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+std::optional<int> parse_int(const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(value);
+}
+
+std::optional<double> parse_double(const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace fpva::common

@@ -2,6 +2,7 @@
 #ifndef FPVA_COMMON_STRINGS_H
 #define FPVA_COMMON_STRINGS_H
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -39,6 +40,15 @@ std::string pad_right(std::string_view text, std::size_t width);
 
 /// True when `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
+
+/// Strict decimal parse of a whole command-line argument. Unlike atoi,
+/// garbage ("abc", "5x", "") is refused rather than read as 0, and a value
+/// past int range ("4294967298") is refused rather than wrapped.
+std::optional<int> parse_int(const char* text);
+
+/// Strict parse of a whole floating-point argument; garbage and non-finite
+/// values ("nan", "inf") are refused.
+std::optional<double> parse_double(const char* text);
 
 }  // namespace fpva::common
 

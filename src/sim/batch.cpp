@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <utility>
 
 #include "common/check.h"
 
@@ -25,56 +26,69 @@ std::span<const Fault> faults_of(const FaultScenario& scenario) {
 }
 std::span<const Fault> faults_of(const Fault& fault) { return {&fault, 1}; }
 
-/// True when `faults` could possibly change the readings of `vector`: an
-/// exact monotonicity screen, not a heuristic. Faults that only close
-/// valves shrink the pressurized region, so they can only flip sinks whose
-/// expected reading is 1; faults that only open valves can only flip
-/// 0-expected sinks; a scenario changing no effective state at all reads
-/// exactly `expected`. Everything the screen rejects is provably
-/// undetected, so skipping its flood keeps results bit-identical.
-bool possibly_detectable(const TestVector& vector, bool has_one_expected,
-                         bool has_zero_expected,
-                         std::span<const Fault> faults) {
-  bool closes = false;
-  bool opens = false;
-  for (const Fault& fault : faults) {
-    const auto valve = static_cast<std::size_t>(fault.valve);
-    common::check(valve < vector.states.size() &&
-                      (fault.type != FaultType::kControlLeak ||
-                       static_cast<std::size_t>(fault.partner) <
-                           vector.states.size()),
-                  "BatchSimulator: fault on invalid valve");
-    switch (fault.type) {
-      case FaultType::kStuckAt0:
-        closes = closes || vector.states[valve];
-        break;
-      case FaultType::kStuckAt1:
-        opens = opens || !vector.states[valve];
-        break;
-      case FaultType::kControlLeak: {
-        const auto partner = static_cast<std::size_t>(fault.partner);
-        // The leak fires when either partner is actuated; it changes an
-        // effective state only if the other partner was commanded open.
-        if ((!vector.states[valve] || !vector.states[partner]) &&
-            (vector.states[valve] || vector.states[partner])) {
-          closes = true;
-        }
-        break;
+}  // namespace
+
+ActivationIndex::ActivationIndex(const grid::ValveArray& array,
+                                 std::span<const TestVector> vectors)
+    : vectors_(vectors),
+      valve_count_(array.valve_count()),
+      words_((size() + 63) / 64),
+      open_(static_cast<std::size_t>(valve_count_) *
+                static_cast<std::size_t>(words_),
+            0),
+      has_one_(static_cast<std::size_t>(words_), 0),
+      has_zero_(static_cast<std::size_t>(words_), 0) {
+  const std::size_t sinks = array.ports_of_kind(grid::PortKind::kSink).size();
+  for (int j = 0; j < size(); ++j) {
+    const TestVector& vector = vectors_[static_cast<std::size_t>(j)];
+    common::check(static_cast<int>(vector.states.size()) == valve_count_ &&
+                      vector.expected.size() == sinks,
+                  "ActivationIndex: vector arity != valve or sink count");
+    const auto word = static_cast<std::size_t>(j / 64);
+    const Word bit = Word{1} << (j % 64);
+    for (const bool expected : vector.expected) {
+      (expected ? has_one_ : has_zero_)[word] |= bit;
+    }
+    for (std::size_t v = 0; v < vector.states.size(); ++v) {
+      if (vector.states[v]) {
+        open_[v * static_cast<std::size_t>(words_) + word] |= bit;
       }
-      case FaultType::kDegradedFlow:
-        // Weakening flow through a commanded-open valve only shrinks the
-        // meter-visible region (monotone decrease). On a commanded-closed
-        // valve it matters only if a stuck-at-1 in the same scenario opens
-        // the valve, and then the readings stay a superset of expected --
-        // covered by that fault's own `opens` contribution.
-        closes = closes || vector.states[valve];
-        break;
     }
   }
-  return (closes && has_one_expected) || (opens && has_zero_expected);
 }
 
-}  // namespace
+ActivationIndex::Word ActivationIndex::activating(const Fault& fault,
+                                                  int word) const {
+  const auto w = static_cast<std::size_t>(word);
+  const auto row = [&](grid::ValveId valve) {
+    return open_[static_cast<std::size_t>(valve) *
+                     static_cast<std::size_t>(words_) +
+                 w];
+  };
+  switch (fault.type) {
+    case FaultType::kStuckAt0:
+    case FaultType::kDegradedFlow:
+      return row(fault.valve) & has_one_[w];
+    case FaultType::kStuckAt1:
+      return ~row(fault.valve) & has_zero_[w];
+    case FaultType::kControlLeak:
+      // The leak fires when either partner is actuated; it changes an
+      // effective state only if the other partner was commanded open.
+      return (row(fault.valve) ^ row(fault.partner)) & has_one_[w];
+  }
+  return 0;
+}
+
+int ActivationIndex::next_activating(std::span<const Fault> faults,
+                                     int from) const {
+  for (int word = from / 64; word < words_; ++word) {
+    Word candidates = 0;
+    for (const Fault& fault : faults) candidates |= activating(fault, word);
+    if (word == from / 64) candidates &= ~Word{0} << (from % 64);
+    if (candidates != 0) return word * 64 + std::countr_zero(candidates);
+  }
+  return size();
+}
 
 BatchSimulator::BatchSimulator(const grid::ValveArray& array)
     : array_(&array), topology_(array) {
@@ -292,59 +306,82 @@ BatchSimulator::LaneMask BatchSimulator::detect_lanes(
 }
 
 template <class Scenario>
-void BatchSimulator::drop_gathered(const TestVector& vector,
-                                   std::span<const Scenario> pool,
-                                   std::vector<int>& alive) const {
-  common::check(static_cast<int>(vector.states.size()) ==
-                        array_->valve_count() &&
-                    static_cast<int>(vector.expected.size()) == sink_count(),
-                "BatchSimulator: vector arity != valve or sink count");
-  bool has_one = false;
-  bool has_zero = false;
-  for (const bool expected : vector.expected) {
-    (expected ? has_one : has_zero) = true;
-  }
-  // Screened scenarios are gathered kLanes at a time; position[L] is where
-  // lane L's index sits in `alive`, so a detected lane is overwritten with
-  // a -1 tombstone and one erase pass keeps the survivors in order.
-  std::array<int, kLanes> lanes{};
-  std::array<std::size_t, kLanes> position{};
-  std::size_t count = 0;
-  bool dropped = false;
-  const auto flush = [&] {
-    LaneMask detected = detect_gathered(
-        vector, pool, std::span<const int>(lanes.data(), count));
-    dropped = dropped || detected != 0;
-    for (; detected != 0; detected &= detected - 1) {
-      alive[position[static_cast<std::size_t>(std::countr_zero(detected))]] =
-          -1;
+std::optional<std::vector<int>> BatchSimulator::undetected_in(
+    const ActivationIndex& vectors, std::span<const Scenario> pool,
+    const common::StopToken& stop) const {
+  common::check(vectors.valve_count() == array_->valve_count(),
+                "BatchSimulator: activation index of another array");
+  // Intrusive per-vector buckets: head[j] is the first pool index queued on
+  // vector j, link[i] the next index in i's bucket.
+  const int n = vectors.size();
+  std::vector<int> head(static_cast<std::size_t>(n), -1);
+  std::vector<int> link(pool.size(), -1);
+  std::vector<int> survivors;
+  std::size_t queued = 0;
+  const auto enqueue = [&](int index, int from) {
+    const int next = vectors.next_activating(
+        faults_of(pool[static_cast<std::size_t>(index)]), from);
+    if (next == n) {
+      survivors.push_back(index);
+      return;
     }
-    count = 0;
+    int& bucket = head[static_cast<std::size_t>(next)];
+    link[static_cast<std::size_t>(index)] = bucket;
+    bucket = index;
+    ++queued;
   };
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (!possibly_detectable(
-            vector, has_one, has_zero,
-            faults_of(pool[static_cast<std::size_t>(alive[i])]))) {
-      continue;
+  const auto valid = [&](grid::ValveId id) {
+    return id >= 0 && id < array_->valve_count();
+  };
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (const Fault& fault : faults_of(pool[i])) {
+      common::check(valid(fault.valve) &&
+                        (fault.type != FaultType::kControlLeak ||
+                         valid(fault.partner)),
+                    "BatchSimulator: fault on invalid valve");
     }
-    lanes[count] = alive[i];
-    position[count] = i;
-    if (++count == kLanes) flush();
+    enqueue(static_cast<int>(i), 0);
   }
-  if (count > 0) flush();
-  if (dropped) std::erase(alive, -1);
+
+  std::array<int, kLanes> lanes{};
+  for (int j = 0; j < n && queued > 0; ++j) {
+    if (stop.stop_requested()) return std::nullopt;
+    const TestVector& vector = vectors.vectors()[static_cast<std::size_t>(j)];
+    std::size_t count = 0;
+    const auto flush = [&] {
+      const LaneMask detected = detect_gathered(
+          vector, pool, std::span<const int>(lanes.data(), count));
+      for (std::size_t lane = 0; lane < count; ++lane) {
+        if (((detected >> lane) & 1) == 0) enqueue(lanes[lane], j + 1);
+      }
+      count = 0;
+    };
+    // Survivors are re-queued on later buckets only, but re-queueing
+    // rewrites link[], so the walk reads each successor before a flush.
+    for (int index = std::exchange(head[static_cast<std::size_t>(j)], -1);
+         index != -1;) {
+      const int next = link[static_cast<std::size_t>(index)];
+      --queued;
+      lanes[count] = index;
+      if (++count == kLanes) flush();
+      index = next;
+    }
+    if (count > 0) flush();
+  }
+  std::sort(survivors.begin(), survivors.end());
+  return survivors;
 }
 
-void BatchSimulator::drop_detected(const TestVector& vector,
-                                   std::span<const FaultScenario> pool,
-                                   std::vector<int>& alive) const {
-  drop_gathered(vector, pool, alive);
+std::optional<std::vector<int>> BatchSimulator::undetected(
+    const ActivationIndex& vectors, std::span<const FaultScenario> pool,
+    const common::StopToken& stop) const {
+  return undetected_in(vectors, pool, stop);
 }
 
-void BatchSimulator::drop_detected(const TestVector& vector,
-                                   std::span<const Fault> pool,
-                                   std::vector<int>& alive) const {
-  drop_gathered(vector, pool, alive);
+std::optional<std::vector<int>> BatchSimulator::undetected(
+    const ActivationIndex& vectors, std::span<const Fault> pool,
+    const common::StopToken& stop) const {
+  return undetected_in(vectors, pool, stop);
 }
 
 }  // namespace fpva::sim

@@ -15,7 +15,14 @@
 //
 // Campaign shards, coverage runs and the test generator all ask the same
 // question -- which of these scenarios does this vector set detect? -- and
-// all answer it through one fault-dropping step, drop_detected().
+// all answer it through one fault-dropping step over the whole vector set,
+// undetected(). An ActivationIndex, built once per vector set, holds for
+// every valve the vectors that command it open; from it a scenario's next
+// activating vector (the next one that could change its readings at all)
+// is a few word ORs away, so each scenario waits in the bucket of that
+// vector and every vector floods only its own bucket. This is fault
+// dropping with per-fault activation lists, as in electronic-test fault
+// simulators such as PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992).
 //
 // Semantics are bit-for-bit those of the scalar Simulator (which remains
 // the differential-testing oracle); see tests/batch_sim_test.cpp and
@@ -24,9 +31,11 @@
 #define FPVA_SIM_BATCH_H
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/stop.h"
 #include "grid/array.h"
 #include "sim/fault.h"
 #include "sim/flow_topology.h"
@@ -36,6 +45,51 @@ namespace fpva::sim {
 
 /// One injected fault combination (one campaign trial, one coverage probe).
 using FaultScenario = std::vector<Fault>;
+
+/// The vectors of one vector set that could change a fault's readings, as
+/// bit rows over the vector indices: per valve the vectors that command it
+/// open, plus the vectors with some 1-expected sink (has_one) and with some
+/// 0-expected sink (has_zero). Faults that only close valves shrink the
+/// pressurized region, so they can only flip 1-expected sinks; faults that
+/// only open valves can only flip 0-expected sinks; a scenario that changes
+/// no effective state reads exactly `expected`. So a scenario's activating
+/// vectors are the OR over its faults of
+///   stuck-at-0, degraded-flow:  open[valve] & has_one
+///   stuck-at-1:                 ~open[valve] & has_zero
+///   control leak:               (open[valve] ^ open[partner]) & has_one
+/// and every other vector provably leaves it undetected: an exact screen,
+/// not a heuristic. (A degraded valve commanded closed matters only if a
+/// stuck-at-1 in the same scenario opens it, and then that fault's own row
+/// activates the vector.)
+///
+/// Holds a view of `vectors`, which must outlive the index. Memory is
+/// valve_count x ceil(N / 64) words for N vectors.
+class ActivationIndex {
+ public:
+  ActivationIndex(const grid::ValveArray& array,
+                  std::span<const TestVector> vectors);
+
+  std::span<const TestVector> vectors() const { return vectors_; }
+  int size() const { return static_cast<int>(vectors_.size()); }
+  int valve_count() const { return valve_count_; }
+
+  /// Lowest vector index >= `from` that could change the readings of a
+  /// scenario injecting `faults`, or size() when no such vector is left.
+  int next_activating(std::span<const Fault> faults, int from) const;
+
+ private:
+  using Word = std::uint64_t;
+
+  /// Word `word` of one fault's activating-vector row.
+  Word activating(const Fault& fault, int word) const;
+
+  std::span<const TestVector> vectors_;
+  int valve_count_ = 0;
+  int words_ = 0;               ///< ceil(size() / 64)
+  std::vector<Word> open_;      ///< valve-major rows, words_ per valve
+  std::vector<Word> has_one_;   ///< vectors with a 1-expected sink
+  std::vector<Word> has_zero_;  ///< vectors with a 0-expected sink
+};
 
 /// Simulates up to kLanes fault scenarios per pass over the grid.
 ///
@@ -74,21 +128,26 @@ class BatchSimulator {
                         std::span<const FaultScenario> scenarios) const;
 
   /// The fault-dropping step every "which of these scenarios does the
-  /// vector set detect?" loop is built on: campaign shards, coverage runs
-  /// and the generator all apply their vectors outermost and call this once
-  /// per vector. `alive` holds indices into `pool` of still-undetected
-  /// scenarios; every one `vector` detects is removed and the rest keep
-  /// their order. An exact monotonicity screen skips scenarios that cannot
-  /// change this vector's readings, and the survivors are packed into full
-  /// kLanes-wide words, so later vectors flood only a few words.
+  /// vector set detect?" question is answered by: campaign shards, coverage
+  /// runs and, through coverage, the generator. Returns the indices into
+  /// `pool` of the scenarios no vector of `vectors` detects, in pool order.
   ///
-  /// The Fault overload treats each fault as a one-fault scenario, without
-  /// materializing a FaultScenario per fault.
-  void drop_detected(const TestVector& vector,
-                     std::span<const FaultScenario> pool,
-                     std::vector<int>& alive) const;
-  void drop_detected(const TestVector& vector, std::span<const Fault> pool,
-                     std::vector<int>& alive) const;
+  /// Each scenario is queued on its next activating vector. Vector j
+  /// floods only the scenarios queued on it, packed into full kLanes-wide
+  /// words; a scenario that survives is re-queued on its next activating
+  /// vector after j, and one with none left is undetected. So every flooded
+  /// (scenario, vector) pair is one the vector could detect, and no other
+  /// pair is looked at.
+  ///
+  /// `stop` is polled once per vector; a tripped token abandons the step
+  /// and returns std::nullopt. The Fault overload treats each fault as a
+  /// one-fault scenario, without materializing a FaultScenario per fault.
+  std::optional<std::vector<int>> undetected(
+      const ActivationIndex& vectors, std::span<const FaultScenario> pool,
+      const common::StopToken& stop = {}) const;
+  std::optional<std::vector<int>> undetected(
+      const ActivationIndex& vectors, std::span<const Fault> pool,
+      const common::StopToken& stop = {}) const;
 
  private:
   /// Resolves commanded `states` + per-lane faults into open_lanes_ and
@@ -107,8 +166,9 @@ class BatchSimulator {
                            std::span<const int> lanes) const;
 
   template <class Scenario>
-  void drop_gathered(const TestVector& vector, std::span<const Scenario> pool,
-                     std::vector<int>& alive) const;
+  std::optional<std::vector<int>> undetected_in(
+      const ActivationIndex& vectors, std::span<const Scenario> pool,
+      const common::StopToken& stop) const;
 
   /// Word-wide flood fill: pressurized_ = fixed point of propagating
   /// source lanes through open_lanes_-gated links. Dispatches to

@@ -1,7 +1,7 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
-#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -39,9 +39,16 @@ std::vector<Fault> draw_fault_set(common::Rng& rng,
                                   double stuck_at_1_probability,
                                   double degraded_probability) {
   // Draw faults on distinct valves. A leak fault occupies both of its
-  // valves so that combinations stay physically consistent.
+  // valves so that combinations stay physically consistent. At most a few
+  // faults are drawn, so scanning them beats clearing a per-valve array.
   std::vector<Fault> faults;
-  std::vector<char> used(static_cast<std::size_t>(array.valve_count()), 0);
+  faults.reserve(static_cast<std::size_t>(std::max(fault_count, 0)));
+  const auto used = [&faults](grid::ValveId valve) {
+    return std::any_of(faults.begin(), faults.end(), [valve](const Fault& f) {
+      return f.valve == valve ||
+             (f.type == FaultType::kControlLeak && f.partner == valve);
+    });
+  };
   int guard = 0;
   while (static_cast<int>(faults.size()) < fault_count) {
     common::check(++guard < 10000,
@@ -50,18 +57,12 @@ std::vector<Fault> draw_fault_set(common::Rng& rng,
     if (draw_leak) {
       const LeakPair& pair = leak_pairs[static_cast<std::size_t>(
           rng.next_below(leak_pairs.size()))];
-      if (used[static_cast<std::size_t>(pair.first)] ||
-          used[static_cast<std::size_t>(pair.second)]) {
-        continue;
-      }
-      used[static_cast<std::size_t>(pair.first)] = 1;
-      used[static_cast<std::size_t>(pair.second)] = 1;
+      if (used(pair.first) || used(pair.second)) continue;
       faults.push_back(control_leak(pair.first, pair.second));
     } else {
       const auto valve = static_cast<grid::ValveId>(rng.next_below(
           static_cast<std::uint64_t>(array.valve_count())));
-      if (used[static_cast<std::size_t>(valve)]) continue;
-      used[static_cast<std::size_t>(valve)] = 1;
+      if (used(valve)) continue;
       // The short-circuit matters: with degraded_probability == 0 no draw
       // is consumed, so default campaigns replay the historical streams.
       if (degraded_probability > 0 && rng.next_bool(degraded_probability)) {
@@ -85,6 +86,11 @@ void validate_options(const grid::ValveArray& array,
       "run_campaign: bad fault-count range");
   common::check(array.valve_count() >= options.max_faults,
                 "run_campaign: more faults requested than valves exist");
+  common::check(options.trials_per_count >= 0,
+                "run_campaign: negative trials_per_count");
+  common::check(options.stuck_at_1_probability >= 0.0 &&
+                    options.stuck_at_1_probability <= 1.0,
+                "run_campaign: stuck_at_1_probability outside [0, 1]");
   common::check(options.degraded_probability >= 0.0 &&
                     options.degraded_probability <= 1.0,
                 "run_campaign: degraded_probability outside [0, 1]");
@@ -114,13 +120,15 @@ struct ShardOutcome {
 };
 
 /// Evaluates trials [first_trial, first_trial + count) with fault dropping
-/// (BatchSimulator::drop_detected): vectors are applied outermost, and each
-/// vector floods only the still-undetected trials, packed into full 64-lane
-/// words. Early vectors detect the bulk of the trials, so later vectors
-/// flood only a few words -- this is where the batched engine beats the
-/// scalar path's per-trial early exit.
+/// (BatchSimulator::undetected): each trial waits on its next activating
+/// vector, and each vector floods only the trials waiting on it, packed
+/// into full 64-lane words. Nearly every trial is detected by the first
+/// vector that can detect it at all, so a trial is flooded about once --
+/// this is where the batched engine beats the scalar path's per-trial
+/// early exit. `vectors` is built once per campaign and shared by every
+/// shard.
 ShardOutcome evaluate_shard(const BatchSimulator& batch,
-                            std::span<const TestVector> vectors,
+                            const ActivationIndex& vectors,
                             const CampaignOptions& options,
                             std::span<const LeakPair> leak_pairs,
                             int fault_count, int first_trial, int count) {
@@ -137,21 +145,19 @@ ShardOutcome evaluate_shard(const BatchSimulator& batch,
                                   options.degraded_probability));
   }
 
-  // alive holds pool indices of undetected trials, always in trial order.
-  std::vector<int> alive(pool.size());
-  std::iota(alive.begin(), alive.end(), 0);
-  for (const TestVector& vector : vectors) {
-    if (alive.empty()) break;
-    if (options.stop.stop_requested()) return outcome;  // abandon, don't fold
-    batch.drop_detected(vector, pool, alive);
-  }
+  // Undetected pool indices in trial order; none when the stop token
+  // tripped mid-shard, and then the shard is abandoned, not folded.
+  const std::optional<std::vector<int>> alive =
+      batch.undetected(vectors, pool, options.stop);
+  if (!alive) return outcome;
 
-  outcome.detected = count - static_cast<int>(alive.size());
-  const std::size_t kept = std::min(alive.size(), options.max_undetected_kept);
+  outcome.detected = count - static_cast<int>(alive->size());
+  const std::size_t kept =
+      std::min(alive->size(), options.max_undetected_kept);
   outcome.undetected.reserve(kept);
   for (std::size_t i = 0; i < kept; ++i) {
     outcome.undetected.push_back(
-        std::move(pool[static_cast<std::size_t>(alive[i])]));
+        std::move(pool[static_cast<std::size_t>((*alive)[i])]));
   }
   outcome.completed = true;
   return outcome;
@@ -177,6 +183,7 @@ CampaignResult run_campaign(const Simulator& simulator,
   validate_options(array, options);
   const std::vector<LeakPair> leak_pairs = resolve_leak_pairs(array, options);
   const BatchSimulator batch(array);
+  const ActivationIndex index(array, vectors);
 
   CampaignResult result;
   for (int k = options.min_faults; k <= options.max_faults; ++k) {
@@ -189,7 +196,7 @@ CampaignResult run_campaign(const Simulator& simulator,
       const int count =
           std::min(kShardTrials, options.trials_per_count - first);
       ShardOutcome outcome =
-          evaluate_shard(batch, vectors, options, leak_pairs, k, first, count);
+          evaluate_shard(batch, index, options, leak_pairs, k, first, count);
       if (!outcome.completed) {
         result.interrupted = true;
         break;

@@ -1,7 +1,6 @@
 #include "sim/coverage.h"
 
 #include <functional>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -37,20 +36,6 @@ namespace {
 /// the enumeration grows.
 constexpr std::size_t kChunkScenarios = 4096;
 
-/// Indices into `pool` of the scenarios no vector detects, in pool order.
-template <class Scenario>
-std::vector<int> undetected_indices(const BatchSimulator& batch,
-                                    std::span<const TestVector> vectors,
-                                    std::span<const Scenario> pool) {
-  std::vector<int> alive(pool.size());
-  std::iota(alive.begin(), alive.end(), 0);
-  for (const TestVector& vector : vectors) {
-    if (alive.empty()) break;
-    batch.drop_detected(vector, pool, alive);
-  }
-  return alive;
-}
-
 }  // namespace
 
 CoverageReport single_fault_coverage(const Simulator& simulator,
@@ -59,7 +44,8 @@ CoverageReport single_fault_coverage(const Simulator& simulator,
   CoverageReport report;
   report.total_faults = static_cast<int>(universe.size());
   const BatchSimulator batch(simulator.array());
-  const std::vector<int> alive = undetected_indices(batch, vectors, universe);
+  const std::vector<int> alive =
+      *batch.undetected(ActivationIndex(simulator.array(), vectors), universe);
   report.detected_faults = report.total_faults - static_cast<int>(alive.size());
   report.undetected.reserve(alive.size());
   for (const int index : alive) {
@@ -74,10 +60,11 @@ PairCoverageReport two_fault_coverage(const Simulator& simulator,
                                       std::size_t max_undetected_kept) {
   PairCoverageReport report;
   const BatchSimulator batch(simulator.array());
+  const ActivationIndex activation(simulator.array(), vectors);
   std::vector<FaultScenario> pool;
   const auto flush = [&] {
-    const std::span<const FaultScenario> chunk = pool;
-    const std::vector<int> alive = undetected_indices(batch, vectors, chunk);
+    const std::vector<int> alive =
+        *batch.undetected(activation, std::span<const FaultScenario>(pool));
     report.detected_pairs += static_cast<long>(pool.size() - alive.size());
     for (const int index : alive) {
       if (report.undetected.size() >= max_undetected_kept) break;
@@ -110,11 +97,12 @@ SetCoverageReport fault_set_coverage(const Simulator& simulator,
   report.set_size = set_size;
   const grid::ValveArray& array = simulator.array();
   const BatchSimulator batch(array);
+  const ActivationIndex activation(array, vectors);
 
   std::vector<FaultScenario> pool;
   const auto flush = [&] {
-    const std::span<const FaultScenario> chunk = pool;
-    const std::vector<int> alive = undetected_indices(batch, vectors, chunk);
+    const std::vector<int> alive =
+        *batch.undetected(activation, std::span<const FaultScenario>(pool));
     report.detected_sets += static_cast<long>(pool.size() - alive.size());
     for (const int index : alive) {
       if (report.undetected.size() >= max_undetected_kept) break;

@@ -6,10 +6,11 @@
 // here accounts for path interference, fluidic seas and masking exactly as
 // a real chip would exhibit them.
 //
-// Every run is vector-major fault dropping through
-// BatchSimulator::drop_detected, the same step the campaigns use: each
-// vector floods only the still-undetected scenarios, and undetected
-// results come back in universe (or enumeration) order.
+// Every run is one fault-dropping step, BatchSimulator::undetected, the
+// same step the campaigns use: each run builds one ActivationIndex of its
+// vectors, every vector floods only the scenarios it could detect that are
+// still undetected, and undetected results come back in universe (or
+// enumeration) order.
 #ifndef FPVA_SIM_COVERAGE_H
 #define FPVA_SIM_COVERAGE_H
 

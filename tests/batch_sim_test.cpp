@@ -3,6 +3,7 @@
 // with the scalar Simulator oracle on every array shape and fault mix.
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/deadline.h"
 #include "common/rng.h"
 #include "common/stop.h"
@@ -282,6 +283,29 @@ TEST(CampaignEquivalenceTest, ZeroDegradedProbabilityPreservesRngStream) {
     const auto gated = draw_fault_set(b, array, 3, leak_pairs, 0.5, 0.0);
     EXPECT_EQ(legacy, gated) << "trial " << trial;
   }
+}
+
+TEST(CampaignEquivalenceTest, DrawStreamDigestPinned) {
+  // Golden FNV-1a 64 over to_string of 20 000 draws (4 000 per fault count
+  // k = 1..5) on the 10x10 preset, with leak pairs and degraded draws on:
+  // every branch of draw_fault_set -- leak, degraded, stuck-at, and the
+  // retries on an occupied valve -- shows in the digest, so a rewrite of
+  // the draw that moves any RNG call or any drawn fault fails here.
+  const auto array = grid::table1_array(10);
+  const auto leak_pairs = control_leak_pairs(array);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int k = 1; k <= 5; ++k) {
+    for (int trial = 0; trial < 4000; ++trial) {
+      common::Rng rng(campaign_trial_seed(20170327, k, trial));
+      const std::string text =
+          to_string(draw_fault_set(rng, array, k, leak_pairs, 0.5, 0.3));
+      for (const char c : text) {
+        hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+      }
+      hash = (hash ^ '\n') * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(hash, 0xe79bd1b1f6cf8076ULL);
 }
 
 /// The faults one coverage scenario injects.
@@ -573,6 +597,68 @@ TEST(CampaignStopTest, MidCampaignCancelReportsOnlyWholeShards) {
   }
   EXPECT_EQ(result.interrupted,
             reported < 5L * options.trials_per_count);
+}
+
+TEST(CampaignStopTest, TrippedTokenAbandonsTheDropStep) {
+  // The drop step polls the token once per vector: with work queued, a
+  // tripped token abandons the whole step instead of returning a partial
+  // survivor list, and a campaign whose token trips reports interrupted
+  // with no trial folded.
+  const auto array = grid::table1_array(5);
+  const Simulator simulator(array);
+  const BatchSimulator batch(array);
+  core::GeneratorOptions generator;
+  generator.hierarchical = true;
+  const auto set = core::generate_test_set(array, generator);
+  const ActivationIndex index(array, set.vectors);
+  const std::vector<Fault> universe = single_stuck_fault_universe(array);
+  const common::StopToken tripped =
+      common::StopToken{}.with_deadline(common::Deadline::after(0.0));
+  EXPECT_FALSE(batch.undetected(index, universe, tripped).has_value());
+  const auto untripped = batch.undetected(index, universe);
+  ASSERT_TRUE(untripped.has_value());
+  EXPECT_TRUE(untripped->empty());
+
+  CampaignOptions options;
+  options.trials_per_count = 100;
+  options.max_faults = 2;
+  options.stop = tripped;
+  const CampaignResult result =
+      run_campaign(simulator, set.vectors, options);
+  EXPECT_TRUE(result.interrupted);
+  EXPECT_EQ(result.total_trials(), 0L);
+}
+
+TEST(CampaignOptionsTest, RejectsInvalidOptions) {
+  const auto array = grid::table1_array(5);
+  const Simulator simulator(array);
+  TestVector vector;
+  vector.states =
+      ValveStates(static_cast<std::size_t>(array.valve_count()), true);
+  vector.expected = simulator.expected(vector.states);
+  const TestVector vectors[] = {vector};
+  const auto rejected = [&](auto&& edit) {
+    CampaignOptions options;
+    options.trials_per_count = 10;
+    edit(options);
+    EXPECT_THROW(run_campaign(simulator, vectors, options), common::Error);
+    EXPECT_THROW(run_campaign_scalar(simulator, vectors, options),
+                 common::Error);
+  };
+  rejected([](CampaignOptions& o) { o.min_faults = 0; });
+  rejected([](CampaignOptions& o) {
+    o.min_faults = 3;
+    o.max_faults = 2;
+  });
+  rejected([&](CampaignOptions& o) {
+    o.max_faults = array.valve_count() + 1;
+  });
+  rejected([](CampaignOptions& o) { o.degraded_probability = 1.5; });
+  // A negative count used to report a 100% rate over zero trials.
+  rejected([](CampaignOptions& o) { o.trials_per_count = -1; });
+  // next_bool clamps, so these used to run as probability 0 or 1.
+  rejected([](CampaignOptions& o) { o.stuck_at_1_probability = -0.1; });
+  rejected([](CampaignOptions& o) { o.stuck_at_1_probability = 1.1; });
 }
 
 TEST(StreamSeedTest, DistinctStreamsDecorrelate) {

@@ -123,6 +123,21 @@ TEST(StringsTest, ToFixed) {
   EXPECT_THROW(to_fixed(1.0, -1), Error);
 }
 
+TEST(StringsTest, StrictNumericParsing) {
+  EXPECT_EQ(parse_int("15"), 15);
+  EXPECT_EQ(parse_int("-3"), -3);
+  EXPECT_EQ(parse_int("abc"), std::nullopt);
+  EXPECT_EQ(parse_int("5x"), std::nullopt);
+  EXPECT_EQ(parse_int(""), std::nullopt);
+  EXPECT_EQ(parse_int("4294967298"), std::nullopt);  // not wrapped to 2
+  EXPECT_EQ(parse_double("0.3"), 0.3);
+  EXPECT_EQ(parse_double("1e-2"), 0.01);
+  EXPECT_EQ(parse_double("abc"), std::nullopt);
+  EXPECT_EQ(parse_double("0.3 "), std::nullopt);
+  EXPECT_EQ(parse_double("nan"), std::nullopt);
+  EXPECT_EQ(parse_double("inf"), std::nullopt);
+}
+
 TEST(TableTest, AlignsColumns) {
   Table table({"Dim", "n_v"});
   table.add_row({"5 x 5", "39"});

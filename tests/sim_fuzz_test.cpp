@@ -34,6 +34,12 @@ namespace {
 using grid::Cell;
 using grid::Site;
 
+/// The faults one drop-step scenario injects.
+std::span<const Fault> faults_of(const FaultScenario& scenario) {
+  return scenario;
+}
+std::span<const Fault> faults_of(const Fault& fault) { return {&fault, 1}; }
+
 /// Random array: mostly full grids, sometimes with an obstacle block so
 /// flood fill has to route around dead cells.
 grid::ValveArray random_array(common::Rng& rng) {
@@ -139,11 +145,31 @@ void fuzz_batch_vs_scalar(std::uint64_t seed) {
   }
 }
 
-/// One drop-step case: a pool of overlapping multi-fault scenarios, wider
-/// than one lane word, is dropped vector by vector from a random ordered
-/// subset. After every vector the survivors must be exactly the entries the
-/// scalar oracle does not flag, in their original order; the single-fault
-/// overload is held to the same rule on a pool of lone faults.
+/// Scalar oracle for the drop step: the pool indices no vector detects,
+/// in pool order.
+template <class Scenario>
+std::vector<int> scalar_undetected(const Simulator& scalar,
+                                   std::span<const TestVector> vectors,
+                                   std::span<const Scenario> pool) {
+  std::vector<int> undetected;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const bool detected =
+        std::any_of(vectors.begin(), vectors.end(), [&](const TestVector& v) {
+          return scalar.detects(v, faults_of(pool[i]));
+        });
+    if (!detected) undetected.push_back(static_cast<int>(i));
+  }
+  return undetected;
+}
+
+/// One drop-step case: a pool of up to 200 overlapping multi-fault
+/// scenarios mixing all four fault kinds is dropped against a random set
+/// of 1-8 vectors in one BatchSimulator::undetected step. The
+/// survivors must be exactly the entries no vector detects under the
+/// scalar oracle, in pool order; the single-fault overload is held to the
+/// same rule on a pool of lone faults. The activation index must also be
+/// sound: a vector that detects a scenario is always one of its
+/// activating vectors.
 void fuzz_drop_step(std::uint64_t seed) {
   common::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   const grid::ValveArray array = random_array(rng);
@@ -158,33 +184,35 @@ void fuzz_drop_step(std::uint64_t seed) {
   }
   std::vector<Fault> singles;
   for (const FaultScenario& scenario : pool) singles.push_back(scenario[0]);
-  std::vector<int> alive;
-  for (int i = 0; i < pool_size; ++i) {
-    if (rng.next_bool(0.8)) alive.push_back(i);
-  }
-  std::vector<int> alive_singles = alive;
-  for (int round = 0; round < 4; ++round) {
-    TestVector vector;
+  std::vector<TestVector> vectors(1 + rng.next_below(8));
+  for (TestVector& vector : vectors) {
     vector.states = random_states(rng, array);
     vector.expected = scalar.expected(vector.states);
-    std::vector<int> expected;
-    for (const int index : alive) {
-      if (!scalar.detects(vector, pool[static_cast<std::size_t>(index)])) {
-        expected.push_back(index);
+  }
+  const ActivationIndex index(array, vectors);
+
+  const auto alive =
+      batch.undetected(index, std::span<const FaultScenario>(pool));
+  const auto alive_singles =
+      batch.undetected(index, std::span<const Fault>(singles));
+  ASSERT_TRUE(alive.has_value() && alive_singles.has_value())
+      << "seed=" << seed;
+  // The oracle lists are in pool order, so equality pins the order too.
+  ASSERT_EQ(*alive, scalar_undetected(scalar, vectors,
+                                      std::span<const FaultScenario>(pool)))
+      << "seed=" << seed;
+  ASSERT_EQ(*alive_singles,
+            scalar_undetected(scalar, vectors,
+                              std::span<const Fault>(singles)))
+      << "seed=" << seed;
+  for (const FaultScenario& scenario : pool) {
+    for (int j = 0; j < index.size(); ++j) {
+      if (scalar.detects(vectors[static_cast<std::size_t>(j)], scenario)) {
+        ASSERT_EQ(index.next_activating(scenario, j), j)
+            << "seed=" << seed << " vector=" << j
+            << " faults=" << to_string(scenario);
       }
     }
-    std::vector<int> expected_singles;
-    for (const int index : alive_singles) {
-      const Fault injected[] = {singles[static_cast<std::size_t>(index)]};
-      if (!scalar.detects(vector, injected)) {
-        expected_singles.push_back(index);
-      }
-    }
-    batch.drop_detected(vector, pool, alive);
-    batch.drop_detected(vector, singles, alive_singles);
-    ASSERT_EQ(alive, expected) << "seed=" << seed << " round=" << round;
-    ASSERT_EQ(alive_singles, expected_singles)
-        << "seed=" << seed << " round=" << round;
   }
 }
 
