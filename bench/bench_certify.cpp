@@ -11,11 +11,14 @@
 //   n                  array size (default 6)
 //   per-stage-seconds  ilp time limit per escalation stage (default 600)
 //   out.json           solver-stats artifact (default certify_stats.json)
-//   threads            workers for BOTH parallel layers — budget stages
-//                      run concurrently and each stage's tree search is
-//                      work-stealing parallel (default 1 = serial,
-//                      bit-identical counters; 0 = hardware concurrency;
-//                      at most the hardware concurrency)
+//   threads            workers for BOTH parallel layers — up to
+//                      min(threads, 10) of the 10 budget stages run
+//                      concurrently and each stage's tree search is
+//                      work-stealing parallel with `threads` workers, so a
+//                      run starts up to threads x min(threads, 10) OS
+//                      threads (default 1 = serial, bit-identical
+//                      counters; 0 = hardware concurrency; at most the
+//                      hardware concurrency)
 //   store-dir          certificate-store directory; "-" (default) disables
 //                      persistence. With a store, a rerun resumes: stored
 //                      refutations replay, stored witnesses re-verify, and
@@ -71,6 +74,8 @@ const char* status_name(fpva::ilp::ResultStatus status) {
                "[deadline-seconds=none]\n"
                "  2 <= n <= 12; per-stage-seconds > 0;\n"
                "  0 <= threads <= hardware concurrency (0 = all cores);\n"
+               "  up to min(threads, 10) stages run at once, each with "
+               "threads workers;\n"
                "  deadline-seconds > 0 when given; store-dir \"-\" "
                "disables the certificate store\n");
   std::exit(2);
@@ -109,8 +114,10 @@ int main(int argc, char** argv) {
   if (argc > 4) threads = int_arg(argv[4]);
   if (argc > 5) store_dir = argv[5];
   if (argc > 6) deadline_seconds = double_arg(argv[6]);
-  // Each stage starts `threads` OS threads, so more than the machine has
-  // cores is refused rather than oversubscribed.
+  // `threads` past the core count is refused. Both parallel layers use
+  // it, though: up to min(threads, 10) stages run at once, each a
+  // `threads`-worker tree search, so a run may still start up to
+  // threads x min(threads, 10) OS threads.
   if (n < 2 || n > 12 || stage_seconds <= 0.0 || threads < 0 ||
       threads > common::resolve_thread_count(0) || out_path.empty() ||
       store_dir.empty() || (argc > 6 && deadline_seconds <= 0.0)) {

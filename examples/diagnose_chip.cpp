@@ -1,26 +1,24 @@
 // Fault diagnosis: a failing chip comes back from test -- which defect
 // explains the readings?
 //
-//   ./build/examples/diagnose_chip
+//   ./build/diagnose_chip
 //
-// Injects a hidden fault into a simulated 10x10 chip, applies the
-// generated test program, and matches the observed response signature
-// against the single-fault universe. Then re-runs the same localization
-// adaptively: instead of applying every vector, pick each next test by
-// expected information gain over the surviving hypotheses.
+// Injects a hidden fault into a simulated 10x10 chip, applies the whole
+// generated test program, and matches the observed responses against the
+// single-fault universe. Then re-runs the same localization adaptively:
+// instead of applying every vector, pick each next test by expected
+// information gain over the surviving hypotheses.
 #include <iostream>
 
 #include "common/rng.h"
 #include "core/generator.h"
 #include "grid/presets.h"
-#include "sim/diagnosis.h"
 #include "sim/diagnosis/adaptive.h"
 
 int main() {
   using namespace fpva;
   const grid::ValveArray array = grid::table1_array(10);
   const core::GeneratedTestSet set = core::generate_test_set(array);
-  const sim::Simulator simulator(array);
 
   // The "defective chip": a hidden fault we pretend not to know.
   common::Rng rng(20170331);
@@ -34,33 +32,38 @@ int main() {
                    array.valves()[static_cast<std::size_t>(hidden_valve)])
             << "\n\n";
 
-  // Apply the test program and record the observed readings.
-  const sim::ResponseSignature observed =
-      sim::response_signature(simulator, set.vectors, hidden);
-
   // Diagnose against all single stuck faults and control leaks.
   auto universe = sim::single_stuck_fault_universe(array);
   const auto leaks = sim::control_leak_universe(array);
   universe.insert(universe.end(), leaks.begin(), leaks.end());
-  const sim::DiagnosisResult verdict =
-      sim::diagnose(simulator, set.vectors, observed, universe);
+  std::vector<sim::FaultScenario> hypotheses;
+  hypotheses.reserve(universe.size());
+  for (const sim::Fault& fault : universe) hypotheses.push_back({fault});
 
-  if (verdict.consistent_with_fault_free) {
+  // Apply the whole program in input order: the survivors are the faults
+  // whose full response signature matches the chip's.
+  sim::diagnosis::Options full_program;
+  full_program.policy = sim::diagnosis::Policy::kStaticOrder;
+  sim::diagnosis::AdaptiveDiagnoser matcher(array, set.vectors, hypotheses,
+                                            full_program);
+  const sim::diagnosis::SessionResult verdict = matcher.run({hidden});
+  if (verdict.fault_free_consistent) {
     std::cout << "chip looks healthy?!\n";
     return 1;
   }
-  std::cout << verdict.candidates.size()
+  std::cout << verdict.surviving.size()
             << " candidate defect(s) match the observed signature:\n";
-  for (const sim::Fault& candidate : verdict.candidates) {
-    std::cout << "  " << to_string(candidate) << "\n";
+  for (const int h : verdict.surviving) {
+    std::cout << "  " << to_string(universe[static_cast<std::size_t>(h)])
+              << "\n";
   }
 
   // How sharp is this test program as a diagnostic instrument?
-  const auto report =
-      sim::diagnosability(simulator, set.vectors, universe);
+  const sim::diagnosis::DiagnosabilityReport report =
+      matcher.diagnosability();
   std::cout << "\ndiagnosability of the " << set.total_vectors()
             << "-vector program: " << report.equivalence_classes
-            << " signature classes over " << report.detected_faults
+            << " signature classes over " << report.detected_hypotheses
             << " detected faults ("
             << static_cast<int>(100.0 * report.resolution())
             << "% of fault pairs distinguished)\n";
@@ -68,9 +71,6 @@ int main() {
   // Adaptive rerun: the signature match above applied all vectors; a
   // tester choosing each next vector by expected information gain reaches
   // the same surviving set after far fewer applications.
-  std::vector<sim::FaultScenario> hypotheses;
-  hypotheses.reserve(universe.size());
-  for (const sim::Fault& fault : universe) hypotheses.push_back({fault});
   sim::diagnosis::AdaptiveDiagnoser diagnoser(array, set.vectors,
                                               std::move(hypotheses));
   const sim::diagnosis::SessionResult session = diagnoser.run({hidden});

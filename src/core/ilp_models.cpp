@@ -475,6 +475,21 @@ bool record_trusted(const StageRecord& record, const StoreHooks<ResultT>& hooks,
   return proven || record.limits_fp == hooks.limits_fp;
 }
 
+/// Adds the basis and learning counters of `stage` to `total`: the
+/// diagnostics budget escalation reports summed over every stage.
+void add_escalation_totals(ilp::Result& total, const ilp::Result& stage) {
+  total.lp_refactorizations += stage.lp_refactorizations;
+  total.lp_basis_updates += stage.lp_basis_updates;
+  total.warm_cut_rows += stage.warm_cut_rows;
+  total.basis_restores += stage.basis_restores;
+  total.conflicts += stage.conflicts;
+  total.nogoods_learned += stage.nogoods_learned;
+  total.nogoods_deleted += stage.nogoods_deleted;
+  total.backjumps += stage.backjumps;
+  total.backjump_nodes_skipped += stage.backjump_nodes_skipped;
+  total.lp_nogoods_learned += stage.lp_nogoods_learned;
+}
+
 /// Parallel III-B-3 stage pre-solve: runs the escalation stages
 /// concurrently — the refutations of budgets 1..b-1 overlap the budget-b
 /// feasibility dive — with speculative floor pinning (stage b > first runs
@@ -610,16 +625,7 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
   // baselines — but the basis and learning diagnostics are only useful as
   // totals over the whole escalation, so they accumulate here and fold
   // into the final result; the per-stage breakdown lands in `stages`.
-  long stage_refactorizations = 0;
-  long stage_basis_updates = 0;
-  long stage_warm_cut_rows = 0;
-  long stage_basis_restores = 0;
-  long stage_conflicts = 0;
-  long stage_nogoods_learned = 0;
-  long stage_nogoods_deleted = 0;
-  long stage_backjumps = 0;
-  long stage_backjump_nodes_skipped = 0;
-  long stage_lp_nogoods = 0;
+  ilp::Result failed_stages;
   std::vector<BudgetStage> stages;
   const auto record_stage = [&stages](int budget, const ilp::Result& r) {
     BudgetStage stage;
@@ -701,16 +707,7 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
           verified->ilp.nogoods_learned = record->stage.nogoods_learned;
           verified->ilp.backjumps = record->stage.backjumps;
           verified->ilp.lp_nogoods_learned = record->stage.lp_nogoods;
-          verified->ilp.lp_refactorizations += stage_refactorizations;
-          verified->ilp.lp_basis_updates += stage_basis_updates;
-          verified->ilp.warm_cut_rows += stage_warm_cut_rows;
-          verified->ilp.basis_restores += stage_basis_restores;
-          verified->ilp.conflicts += stage_conflicts;
-          verified->ilp.nogoods_learned += stage_nogoods_learned;
-          verified->ilp.nogoods_deleted += stage_nogoods_deleted;
-          verified->ilp.backjumps += stage_backjumps;
-          verified->ilp.backjump_nodes_skipped += stage_backjump_nodes_skipped;
-          verified->ilp.lp_nogoods_learned += stage_lp_nogoods;
+          add_escalation_totals(verified->ilp, failed_stages);
           common::log_debug(common::cat(kind, " ILP budget ", budget,
                                         ": stored witness re-validated"));
           return verified;
@@ -760,16 +757,7 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
               hooks.serialize ? hooks.serialize(*result)
                               : std::vector<std::string>{});
       result->stages = std::move(stages);
-      result->ilp.lp_refactorizations += stage_refactorizations;
-      result->ilp.lp_basis_updates += stage_basis_updates;
-      result->ilp.warm_cut_rows += stage_warm_cut_rows;
-      result->ilp.basis_restores += stage_basis_restores;
-      result->ilp.conflicts += stage_conflicts;
-      result->ilp.nogoods_learned += stage_nogoods_learned;
-      result->ilp.nogoods_deleted += stage_nogoods_deleted;
-      result->ilp.backjumps += stage_backjumps;
-      result->ilp.backjump_nodes_skipped += stage_backjump_nodes_skipped;
-      result->ilp.lp_nogoods_learned += stage_lp_nogoods;
+      add_escalation_totals(result->ilp, failed_stages);
       return result;
     }
     record_stage(budget, failure);
@@ -783,16 +771,7 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
       return std::nullopt;
     }
     persist(budget, floor, stages.back(), /*partial=*/false, nullptr, {});
-    stage_refactorizations += failure.lp_refactorizations;
-    stage_basis_updates += failure.lp_basis_updates;
-    stage_warm_cut_rows += failure.warm_cut_rows;
-    stage_basis_restores += failure.basis_restores;
-    stage_conflicts += failure.conflicts;
-    stage_nogoods_learned += failure.nogoods_learned;
-    stage_nogoods_deleted += failure.nogoods_deleted;
-    stage_backjumps += failure.backjumps;
-    stage_backjump_nodes_skipped += failure.backjump_nodes_skipped;
-    stage_lp_nogoods += failure.lp_nogoods_learned;
+    add_escalation_totals(failed_stages, failure);
     if (failure.status == ilp::ResultStatus::kInfeasible) {
       proven_floor = budget + 1;
       common::log_debug(common::cat(kind, " ILP proven infeasible with "

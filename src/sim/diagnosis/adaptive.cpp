@@ -27,8 +27,7 @@ AdaptiveDiagnoser::AdaptiveDiagnoser(const grid::ValveArray& array,
                                      std::vector<TestVector> vectors,
                                      std::vector<FaultScenario> universe,
                                      const Options& options)
-    : array_(&array),
-      oracle_(array),
+    : oracle_(array),
       vectors_(std::move(vectors)),
       universe_(std::move(universe)),
       options_(options) {
@@ -43,10 +42,17 @@ AdaptiveDiagnoser::AdaptiveDiagnoser(const grid::ValveArray& array,
     expected_[v] = pack_readings(vectors_[v].expected);
   }
 
+  // The root state: nothing applied, every hypothesis alive, the healthy
+  // chip (sentinel |universe|) included.
+  const std::size_t hypotheses = universe_.size();
+  std::vector<int> everyone(hypotheses + 1);
+  std::iota(everyone.begin(), everyone.end(), 0);
+  root_ = cache_.intern(
+      std::vector<std::uint64_t>((vectors_.size() + 63) / 64, 0), everyone);
+
   // Precompute every (vector, hypothesis) outcome bit-parallel. Jobs are
   // one vector each and write disjoint rows, so the table content — and
   // everything decided from it — is independent of the worker count.
-  const std::size_t hypotheses = universe_.size();
   outcomes_.assign(vectors_.size() * hypotheses, 0);
   if (hypotheses == 0 || vectors_.empty()) return;
   std::vector<std::unique_ptr<BatchSimulator>> workers(
@@ -55,7 +61,7 @@ AdaptiveDiagnoser::AdaptiveDiagnoser(const grid::ValveArray& array,
   common::run_jobs(
       options_.threads, vectors_.size(), [&](int worker, std::size_t v) {
         auto& batch = workers[static_cast<std::size_t>(worker)];
-        if (!batch) batch = std::make_unique<BatchSimulator>(*array_);
+        if (!batch) batch = std::make_unique<BatchSimulator>(array);
         Outcome* row = outcomes_.data() + v * hypotheses;
         for (std::size_t base = 0; base < hypotheses;
              base += BatchSimulator::kLanes) {
@@ -85,9 +91,7 @@ int AdaptiveDiagnoser::pick_test(const std::vector<char>& used,
     }
     return -1;
   }
-  const std::size_t alive =
-      surviving.size() + (fault_free_alive ? std::size_t{1} : 0);
-  if (alive <= 1) return -1;
+  // run() only asks with at least two hypotheses alive.
   const std::size_t hypotheses = universe_.size();
   int best = -1;
   double best_cost = 0.0;
@@ -127,38 +131,22 @@ int AdaptiveDiagnoser::pick_test(const std::vector<char>& used,
 
 SessionResult AdaptiveDiagnoser::run(
     const std::function<Outcome(const TestVector&)>& respond) {
-  constexpr int kNoNode = DecisionDiagramCache::kNoNode;
   SessionResult result;
   const int hypotheses = static_cast<int>(universe_.size());
-  const bool cached = options_.use_dd_cache;
-  // The state is `survivors` fault-set hypotheses plus the fault-free flag.
-  // With the cache on it lives in DD node `node`, whose key is the surviving
-  // indices followed by the sentinel |universe| while the fault-free
-  // hypothesis is alive (the choice depends on it), and a known outcome edge
-  // moves the session without touching the list. `surviving` holds the list
-  // only while there is no node: cache off, or the root not interned yet.
-  int node = cached ? root_ : kNoNode;
+  // The state is DD node `node`: `survivors` fault-set hypotheses plus the
+  // fault-free flag. The node's key is the surviving indices followed by
+  // the sentinel |universe| while the fault-free hypothesis is alive (the
+  // choice depends on it), and a known outcome edge moves the session
+  // without touching the list.
+  int node = root_;
   int survivors = hypotheses;
-  bool fault_free_alive = options_.include_fault_free;
-  std::vector<int> surviving;
-  if (node == kNoNode) {
-    surviving.resize(static_cast<std::size_t>(hypotheses));
-    std::iota(surviving.begin(), surviving.end(), 0);
-  }
+  bool fault_free_alive = true;
   std::vector<char> used(vectors_.size(), 0);
   std::vector<std::uint64_t> applied_words((vectors_.size() + 63) / 64, 0);
 
-  // The current surviving list; a node's view is valid until the next
-  // intern.
+  // The current surviving list; valid until the next intern.
   const auto current = [&]() -> std::span<const int> {
-    if (node == kNoNode) return surviving;
     return cache_.surviving(node).first(static_cast<std::size_t>(survivors));
-  };
-  const auto intern = [&](std::vector<int>& list) {
-    if (fault_free_alive) list.push_back(hypotheses);
-    const int id = cache_.intern(applied_words, list);
-    if (fault_free_alive) list.pop_back();
-    return id;
   };
 
   while (true) {
@@ -166,25 +154,17 @@ SessionResult AdaptiveDiagnoser::run(
       result.interrupted = true;
       break;
     }
-    if (options_.max_tests > 0 &&
-        result.tests_applied() >= options_.max_tests) {
-      break;
-    }
     const int alive = survivors + (fault_free_alive ? 1 : 0);
-    if (options_.stop_when_isolated && alive <= 1) break;
+    if (options_.policy == Policy::kInfoGain && alive <= 1) break;
 
-    if (cached && node == kNoNode) node = root_ = intern(surviving);
-    int test =
-        cached ? cache_.chosen_test(node) : DecisionDiagramCache::kNoTest;
+    int test = cache_.chosen_test(node);
     const bool from_cache = test != DecisionDiagramCache::kNoTest;
     if (from_cache) {
       ++result.cache_hits;
     } else {
       test = pick_test(used, current(), fault_free_alive);
-      if (cached) {
-        ++result.cache_misses;
-        if (test >= 0) cache_.set_chosen_test(node, test);
-      }
+      ++result.cache_misses;
+      if (test >= 0) cache_.set_chosen_test(node, test);
     }
     if (test < 0) break;  // nothing left that could split the hypotheses
 
@@ -199,8 +179,8 @@ SessionResult AdaptiveDiagnoser::run(
     applied.from_cache = from_cache;
     applied.surviving_before = survivors;
     const bool fault_free_before = fault_free_alive;
-    const int child = cached ? cache_.child(node, outcome) : kNoNode;
-    if (child != kNoNode) {
+    const int child = cache_.child(node, outcome);
+    if (child != DecisionDiagramCache::kNoNode) {
       // Replayed edge: the child's key already is the filtered state.
       const std::span<const int> key = cache_.surviving(child);
       fault_free_alive = !key.empty() && key.back() == hypotheses;
@@ -218,13 +198,10 @@ SessionResult AdaptiveDiagnoser::run(
       survivors = static_cast<int>(next.size());
       fault_free_alive = fault_free_alive &&
                          expected_[static_cast<std::size_t>(test)] == outcome;
-      if (cached) {
-        const int id = intern(next);
-        cache_.link_child(node, outcome, id);
-        node = id;
-      } else {
-        surviving.swap(next);
-      }
+      if (fault_free_alive) next.push_back(hypotheses);
+      const int id = cache_.intern(applied_words, next);
+      cache_.link_child(node, outcome, id);
+      node = id;
     }
     result.eliminated += applied.surviving_before - survivors +
                          (fault_free_before && !fault_free_alive ? 1 : 0);
@@ -232,12 +209,8 @@ SessionResult AdaptiveDiagnoser::run(
     result.applied.push_back(applied);
   }
 
-  if (node == kNoNode) {
-    result.surviving = std::move(surviving);
-  } else {
-    const std::span<const int> list = current();
-    result.surviving.assign(list.begin(), list.end());
-  }
+  const std::span<const int> list = current();
+  result.surviving.assign(list.begin(), list.end());
   result.fault_free_consistent = fault_free_alive;
   // Callers keep many sessions; drop the push_back growth slack.
   result.applied.shrink_to_fit();
@@ -248,6 +221,38 @@ SessionResult AdaptiveDiagnoser::run(const FaultScenario& truth) {
   return run([&](const TestVector& vector) {
     return pack_readings(oracle_.readings(vector.states, truth));
   });
+}
+
+DiagnosabilityReport AdaptiveDiagnoser::diagnosability() const {
+  DiagnosabilityReport report;
+  const std::size_t hypotheses = universe_.size();
+  report.total_hypotheses = static_cast<int>(hypotheses);
+  // Outcome column of each detected hypothesis, sorted so that equal
+  // columns (indistinguishable hypotheses) form runs.
+  std::vector<std::vector<Outcome>> columns;
+  for (std::size_t h = 0; h < hypotheses; ++h) {
+    std::vector<Outcome> column(vectors_.size());
+    for (std::size_t v = 0; v < vectors_.size(); ++v) {
+      column[v] = outcomes_[v * hypotheses + h];
+    }
+    if (column != expected_) columns.push_back(std::move(column));
+  }
+  std::sort(columns.begin(), columns.end());
+  const long n = static_cast<long>(columns.size());
+  report.detected_hypotheses = static_cast<int>(n);
+  report.total_pairs = n * (n - 1) / 2;
+  long confused = 0;
+  std::size_t run_start = 0;
+  for (std::size_t i = 1; i <= columns.size(); ++i) {
+    if (i == columns.size() || columns[i] != columns[run_start]) {
+      const auto count = static_cast<long>(i - run_start);
+      confused += count * (count - 1) / 2;
+      ++report.equivalence_classes;
+      run_start = i;
+    }
+  }
+  report.distinguished_pairs = report.total_pairs - confused;
+  return report;
 }
 
 }  // namespace fpva::sim::diagnosis

@@ -1,14 +1,22 @@
-// Adaptive fault diagnosis: sequential test selection by expected
-// information gain.
+// Fault diagnosis: which defect explains a failing chip?
 //
-// The signature matching in sim/diagnosis.h applies the whole test program
-// and then reads off the surviving candidates. On a real tester every
-// applied vector costs time, so a diagnosis flow wants to *order* tests so
-// each one splits the surviving hypothesis space as evenly as possible —
-// the classic sequential-diagnosis greedy. Hypotheses here are whole fault
-// sets (any mix of stuck-at, control-leak and degraded-flow faults, plus
-// optionally the fault-free chip), so the same machinery localizes
-// multi-fault scenarios the single-fault matcher cannot explain.
+// The paper stops at detection (pass/fail); a production flow also wants to
+// know *which* defect explains a failing chip, e.g. to steer yield
+// learning. Every hypothesis -- a fault set (any mix of stuck-at,
+// control-leak and degraded-flow faults) or the healthy chip -- induces a
+// deterministic outcome per test vector, so diagnosis filters the
+// hypothesis universe by the observed outcomes, and the resolution limit of
+// a test program is the partition of hypotheses into outcome-equivalence
+// classes (AdaptiveDiagnoser::diagnosability()).
+//
+// Policy::kStaticOrder applies the whole program in input order: the
+// survivors are exactly the hypotheses whose full response signature
+// matches the chip's, which is the only sound match when the truth may lie
+// outside the universe. On a real tester every applied vector costs time,
+// so Policy::kInfoGain instead *orders* tests so each one splits the
+// surviving hypotheses as evenly as possible -- the classic
+// sequential-diagnosis greedy -- and stops once at most one hypothesis is
+// left.
 //
 // Selection minimizes the expected log-size of the surviving set: for a
 // candidate vector with outcome multiplicities n_o over the m surviving
@@ -18,11 +26,6 @@
 // every input is scored in index order, which keeps sessions bit-identical
 // across thread counts (threads only parallelize the outcome-table
 // precompute).
-//
-// With Options::policy = kStaticOrder, use_dd_cache = false,
-// stop_when_isolated = false and max_tests = 0 a session applies the whole
-// program in input order and reproduces sim::diagnose() exactly; the tests
-// pin that equivalence.
 #ifndef FPVA_SIM_DIAGNOSIS_ADAPTIVE_H
 #define FPVA_SIM_DIAGNOSIS_ADAPTIVE_H
 
@@ -39,25 +42,16 @@
 namespace fpva::sim::diagnosis {
 
 enum class Policy : std::uint8_t {
-  kStaticOrder,  ///< apply vectors in input order (the fixed test program)
-  kInfoGain,     ///< maximize expected information gain per applied test
+  /// Apply every vector in input order: the full-signature match.
+  kStaticOrder,
+  /// Maximize expected information gain per applied test; stop once at
+  /// most one hypothesis survives or no unused vector splits the rest.
+  kInfoGain,
 };
 
 struct Options {
   Policy policy = Policy::kInfoGain;
-  /// Intern (applied, surviving) states in the decision-diagram cache,
-  /// replay stored decisions and walk stored outcome edges. Purely a
-  /// speedup: the cached choice is the same one pick_test would recompute,
-  /// so results are bit-identical either way (see SimOptionsToggleTest).
-  bool use_dd_cache = true;
-  /// Stop as soon as at most one hypothesis survives. Off means "apply
-  /// until nothing more can split" (or all vectors, for kStaticOrder).
-  bool stop_when_isolated = true;
-  /// Track the healthy chip as an extra hypothesis; diagnosis then also
-  /// reports whether the observations are consistent with no fault at all.
-  bool include_fault_free = true;
-  int max_tests = 0;  ///< cap on applied vectors per session; 0 = no cap
-  int threads = 1;    ///< workers for the outcome-table precompute
+  int threads = 1;  ///< workers for the outcome-table precompute
   /// Cooperative cancellation, polled before every test selection.
   common::StopToken stop;
 };
@@ -74,11 +68,29 @@ struct AppliedTest {
   bool from_cache = false;   ///< choice replayed from the DD cache
 };
 
+/// How sharply the test program localizes the hypotheses of the universe.
+struct DiagnosabilityReport {
+  int total_hypotheses = 0;
+  int detected_hypotheses = 0;  ///< outcomes differ from the healthy chip's
+  int equivalence_classes = 0;  ///< distinct outcome columns among detected
+  long total_pairs = 0;         ///< pairs of detected hypotheses
+  long distinguished_pairs = 0;
+
+  /// Fraction of detected-hypothesis pairs told apart by the program.
+  double resolution() const {
+    return total_pairs == 0
+               ? 1.0
+               : static_cast<double>(distinguished_pairs) /
+                     static_cast<double>(total_pairs);
+  }
+};
+
 struct SessionResult {
   std::vector<AppliedTest> applied;
   /// Indices into AdaptiveDiagnoser::universe() still consistent with
   /// every observed outcome, ascending.
   std::vector<int> surviving;
+  /// The healthy chip also explains every observed outcome.
   bool fault_free_consistent = false;
   long eliminated = 0;   ///< hypotheses ruled out across the session
   long cache_hits = 0;   ///< test choices replayed from the DD cache
@@ -95,7 +107,9 @@ struct SessionResult {
 
 /// Drives adaptive sessions over a fixed (array, vectors, universe)
 /// triple. Construction precomputes the outcome of every (vector,
-/// hypothesis) pair bit-parallel; each run() then only filters and scores.
+/// hypothesis) pair bit-parallel; each run() then only filters and scores,
+/// walking the decision-diagram cache: a state seen by an earlier session
+/// replays its stored test and outcome edges instead of re-scoring.
 ///
 /// Not thread-safe: sessions mutate the shared decision-diagram cache.
 /// The array must outlive the diagnoser.
@@ -114,9 +128,12 @@ class AdaptiveDiagnoser {
   /// through the scalar oracle).
   SessionResult run(const FaultScenario& truth);
 
+  /// Outcome-equivalence classes of the universe under the whole program,
+  /// read off the precomputed outcome table.
+  DiagnosabilityReport diagnosability() const;
+
   const std::vector<TestVector>& vectors() const { return vectors_; }
   const std::vector<FaultScenario>& universe() const { return universe_; }
-  const Options& options() const { return options_; }
   /// Distinct (applied, surviving) states interned so far.
   int cache_nodes() const { return cache_.node_count(); }
 
@@ -127,7 +144,6 @@ class AdaptiveDiagnoser {
   int pick_test(const std::vector<char>& used,
                 std::span<const int> surviving, bool fault_free_alive) const;
 
-  const grid::ValveArray* array_;
   Simulator oracle_;  ///< scalar simulator behind run(truth)
   std::vector<TestVector> vectors_;
   std::vector<FaultScenario> universe_;
@@ -137,7 +153,7 @@ class AdaptiveDiagnoser {
   std::vector<Outcome> outcomes_;
   std::vector<Outcome> expected_;  ///< fault-free outcome per vector
   DecisionDiagramCache cache_;
-  /// The empty-applied-set state, interned at the first test selection.
+  /// The empty-applied-set state: every hypothesis alive.
   int root_ = DecisionDiagramCache::kNoNode;
   mutable std::vector<Outcome> scratch_outcomes_;  ///< pick_test scratch
 };
