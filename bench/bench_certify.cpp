@@ -11,14 +11,13 @@
 //   n                  array size (default 6)
 //   per-stage-seconds  ilp time limit per escalation stage (default 600)
 //   out.json           solver-stats artifact (default certify_stats.json)
-//   threads            workers for BOTH parallel layers — up to
-//                      min(threads, 10) of the 10 budget stages run
-//                      concurrently and each stage's tree search is
+//   threads            tree-search workers: the budget stages run one
+//                      after another and each stage's search is
 //                      work-stealing parallel with `threads` workers, so a
-//                      run starts up to threads x min(threads, 10) OS
-//                      threads (default 1 = serial, bit-identical
-//                      counters; 0 = hardware concurrency; at most the
-//                      hardware concurrency)
+//                      run starts at most `threads` search threads
+//                      (default 1 = serial, bit-identical counters; 0 =
+//                      hardware concurrency; at most the hardware
+//                      concurrency)
 //   store-dir          certificate-store directory; "-" (default) disables
 //                      persistence. With a store, a rerun resumes: stored
 //                      refutations replay, stored witnesses re-verify, and
@@ -74,8 +73,7 @@ const char* status_name(fpva::ilp::ResultStatus status) {
                "[deadline-seconds=none]\n"
                "  2 <= n <= 12; per-stage-seconds > 0;\n"
                "  0 <= threads <= hardware concurrency (0 = all cores);\n"
-               "  up to min(threads, 10) stages run at once, each with "
-               "threads workers;\n"
+               "  a run starts at most threads search threads;\n"
                "  deadline-seconds > 0 when given; store-dir \"-\" "
                "disables the certificate store\n");
   std::exit(2);
@@ -114,10 +112,8 @@ int main(int argc, char** argv) {
   if (argc > 4) threads = int_arg(argv[4]);
   if (argc > 5) store_dir = argv[5];
   if (argc > 6) deadline_seconds = double_arg(argv[6]);
-  // `threads` past the core count is refused. Both parallel layers use
-  // it, though: up to min(threads, 10) stages run at once, each a
-  // `threads`-worker tree search, so a run may still start up to
-  // threads x min(threads, 10) OS threads.
+  // `threads` past the core count is refused. Stages run one at a time,
+  // so a run starts at most `threads` search threads.
   if (n < 2 || n > 12 || stage_seconds <= 0.0 || threads < 0 ||
       threads > common::resolve_thread_count(0) || out_path.empty() ||
       store_dir.empty() || (argc > 6 && deadline_seconds <= 0.0)) {
@@ -138,7 +134,6 @@ int main(int argc, char** argv) {
   // instead of 3 356. Every LP refutation learns a nogood either way.
   options.conflict_backjumping = true;
   options.threads = threads;
-  options.escalation_threads = threads;
   if (deadline_seconds > 0.0) {
     options.stop = common::StopToken{}.with_deadline(
         common::Deadline::after(deadline_seconds));

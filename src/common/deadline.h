@@ -2,11 +2,11 @@
 //
 // A Deadline is a value type wrapping an optional steady_clock time point.
 // Default-constructed deadlines never expire and cost nothing to test, so
-// they can ride along every options struct. Deadlines compose onto the
-// cooperative-cancellation tree through StopToken::with_deadline (stop.h):
-// a token carrying a deadline trips like a requested stop once the clock
-// passes it, which is how bench_certify bounds a whole certification
-// campaign while each stage keeps its own per-stage time limit.
+// they can ride along every options struct. Deadlines compose onto a
+// cancellation token through StopToken::with_deadline (stop.h): a token
+// carrying a deadline trips like a requested stop once the clock passes
+// it, which is how bench_certify bounds a whole certification campaign
+// while each stage keeps its own per-stage time limit.
 #ifndef FPVA_COMMON_DEADLINE_H
 #define FPVA_COMMON_DEADLINE_H
 

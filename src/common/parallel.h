@@ -1,16 +1,17 @@
 // Shared worker-pool plumbing for every parallel layer in the repo.
 //
-// Campaign sharding, concurrent budget-escalation stages and subtree
-// parallelism inside the branch-and-bound all need the same skeleton: N
-// workers (the calling thread plus N-1 spawned ones) pulling jobs off a
-// shared atomic counter, with the first exception rethrown on the caller
-// after the join. run_jobs is that skeleton, so there is exactly one
-// audited implementation.
+// Subtree parallelism inside the branch-and-bound and the diagnoser's
+// outcome-table precompute both need the same skeleton: N workers (the
+// calling thread plus N-1 spawned ones) pulling jobs off a shared atomic
+// counter, with the first exception rethrown on the caller after the
+// join. run_jobs is that skeleton, so there is exactly one audited
+// implementation.
 //
 // Determinism discipline: jobs are claimed in index order and workers
 // write results into per-job slots, so a caller that merges slots in job
 // order gets the same answer for any worker count. Nothing here imposes
-// that — it is a contract the callers uphold (see sim/campaign.cpp).
+// that — it is a contract the callers uphold (see
+// sim/diagnosis/adaptive.cpp, whose jobs write disjoint table rows).
 #ifndef FPVA_COMMON_PARALLEL_H
 #define FPVA_COMMON_PARALLEL_H
 

@@ -1,19 +1,15 @@
 // Cooperative cancellation for parallel search.
 //
 // A StopSource owns a stop flag; its StopToken is a cheap copyable view
-// that readers poll. Tokens compose: StopSource(parent_token) builds a
-// source whose token trips when either the new source or any ancestor
-// requests a stop, which is how a budget-escalation stage inherits the
-// caller's token while staying individually cancellable.
+// that readers poll.
 //
 // Polling uses relaxed atomics on purpose: a stop request only asks
 // workers to wind down, and every data handoff in this codebase happens
 // through a mutex or a thread join, which provide the ordering.
 //
-// Wall-clock deadlines (deadline.h) compose onto the same tree:
-// with_deadline() returns a token that additionally trips once the clock
-// passes the deadline, and StopSource(parent) inherits the parent's
-// deadlines along with its flags. Tokens without deadlines pay nothing.
+// Wall-clock deadlines (deadline.h) compose onto a token: with_deadline()
+// returns a token that additionally trips once the clock passes the
+// deadline. Tokens without deadlines pay nothing.
 #ifndef FPVA_COMMON_STOP_H
 #define FPVA_COMMON_STOP_H
 
@@ -25,25 +21,25 @@
 
 namespace fpva::common {
 
-/// Read side of one or more stop flags. Default-constructed tokens are
-/// empty: stop_possible() is false and stop_requested() is a no-op
-/// returning false, so threading a token through a hot loop costs nothing
-/// when nobody can cancel it.
+/// Read side of a stop flag plus any attached deadlines.
+/// Default-constructed tokens are empty: stop_possible() is false and
+/// stop_requested() is a no-op returning false, so threading a token
+/// through a hot loop costs nothing when nobody can cancel it.
 class StopToken {
  public:
   StopToken() = default;
 
-  /// True when some StopSource could still trip this token (or a deadline
+  /// True when a StopSource could still trip this token (or a deadline
   /// will).
   bool stop_possible() const {
-    return !flags_.empty() || !deadlines_.empty();
+    return flag_ != nullptr || !deadlines_.empty();
   }
 
-  /// True once any linked source requested a stop or any attached deadline
-  /// expired.
+  /// True once the linked source requested a stop or any attached
+  /// deadline expired.
   bool stop_requested() const {
-    for (const auto& flag : flags_) {
-      if (flag->load(std::memory_order_relaxed)) return true;
+    if (flag_ != nullptr && flag_->load(std::memory_order_relaxed)) {
+      return true;
     }
     for (const Deadline& deadline : deadlines_) {
       if (deadline.expired()) return true;
@@ -53,8 +49,7 @@ class StopToken {
 
   /// A copy of this token that additionally trips once `deadline` expires.
   /// Inactive deadlines are dropped, so composing a default Deadline is
-  /// free. Sources linked under the returned token (StopSource(parent))
-  /// inherit the deadline.
+  /// free.
   StopToken with_deadline(const Deadline& deadline) const {
     StopToken token = *this;
     if (deadline.active()) token.deadlines_.push_back(deadline);
@@ -63,7 +58,7 @@ class StopToken {
 
  private:
   friend class StopSource;
-  std::vector<std::shared_ptr<const std::atomic<bool>>> flags_;
+  std::shared_ptr<const std::atomic<bool>> flag_;
   std::vector<Deadline> deadlines_;
 };
 
@@ -72,29 +67,21 @@ class StopSource {
  public:
   StopSource() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
 
-  /// A source linked under `parent`: its token also trips when any of the
-  /// parent token's sources request a stop.
-  explicit StopSource(const StopToken& parent) : StopSource() {
-    parent_ = parent;
-  }
-
   void request_stop() { flag_->store(true, std::memory_order_relaxed); }
 
   bool stop_requested() const {
-    return flag_->load(std::memory_order_relaxed) ||
-           parent_.stop_requested();
+    return flag_->load(std::memory_order_relaxed);
   }
 
-  /// Token observing this source and every ancestor it was linked under.
+  /// Token observing this source.
   StopToken token() const {
-    StopToken token = parent_;
-    token.flags_.push_back(flag_);
+    StopToken token;
+    token.flag_ = flag_;
     return token;
   }
 
  private:
   std::shared_ptr<std::atomic<bool>> flag_;
-  StopToken parent_;
 };
 
 }  // namespace fpva::common

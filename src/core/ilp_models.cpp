@@ -5,8 +5,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <mutex>
-#include <numeric>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -14,7 +12,6 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/stop.h"
 #include "common/strings.h"
 #include "core/cert_store.h"
@@ -409,19 +406,6 @@ std::optional<IlpPathResult> solve_flow_path_model(
 
 namespace {
 
-/// One pre-solved escalation stage (parallel path). `usable` means the
-/// solve ran to completion with no cancellation — its outcome is exactly
-/// what a from-scratch solve of the same (budget, floor) model would
-/// produce, so the serial replay loop may consume it in place of a live
-/// solve.
-template <typename ResultT>
-struct StageCache {
-  std::optional<ResultT> result;
-  ilp::Result failure;
-  int floor = 0;
-  bool usable = false;
-};
-
 /// Everything escalate_budgets needs to persist/resume stages through a
 /// CertStore. Default-constructed (null store) hooks are inert and keep
 /// the loop byte-for-byte on its historical path.
@@ -490,134 +474,20 @@ void add_escalation_totals(ilp::Result& total, const ilp::Result& stage) {
   total.lp_nogoods_learned += stage.lp_nogoods_learned;
 }
 
-/// Parallel III-B-3 stage pre-solve: runs the escalation stages
-/// concurrently — the refutations of budgets 1..b-1 overlap the budget-b
-/// feasibility dive — with speculative floor pinning (stage b > first runs
-/// the pinned model the serial loop would run once every smaller budget is
-/// refuted). The first feasible budget cancels every larger stage through
-/// per-stage stop tokens (all children of `options.stop`); jobs are
-/// claimed in predicted-cost order (cheap first, from any preloaded stage
-/// records; ties and unknowns keep ascending budget order, which without
-/// a store reproduces the historical schedule exactly) so a
-/// floor-divergence live re-solve discards the least work. Budgets whose
-/// stored record will be replayed anyway are skipped outright. Stages
-/// whose token tripped mid-solve are marked unusable and simply re-solved
-/// by the replay loop in the rare case it reaches them.
-template <typename ResultT, typename SolveBudget>
-std::vector<StageCache<ResultT>> precompute_stages(
-    int first_budget, int last_budget, const ilp::Options& options,
-    int threads, SolveBudget& solve_budget, const std::vector<char>& skip,
-    const std::vector<double>& predicted_seconds) {
-  const int count = last_budget - first_budget + 1;
-  std::vector<StageCache<ResultT>> cache(static_cast<std::size_t>(count));
-  std::vector<common::StopSource> stops;
-  stops.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) stops.emplace_back(options.stop);
-
-  // Cheap-first schedule over the stage indices: stable sort on predicted
-  // seconds, so all-unknown costs (+inf, the storeless case) leave the
-  // identity permutation in place.
-  std::vector<int> order(static_cast<std::size_t>(count));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return predicted_seconds[static_cast<std::size_t>(a)] <
-           predicted_seconds[static_cast<std::size_t>(b)];
-  });
-
-  std::mutex mutex;
-  int winner = last_budget + 1;  // smallest feasible budget seen so far
-  common::run_jobs(
-      threads, static_cast<std::size_t>(count),
-      [&](int /*worker*/, std::size_t job) {
-        const std::size_t index =
-            static_cast<std::size_t>(order[static_cast<std::size_t>(job)]);
-        if (skip[index]) return;  // the replay loop will reuse the record
-        const int budget = first_budget + static_cast<int>(index);
-        common::StopSource& stop = stops[index];
-        {
-          const std::lock_guard<std::mutex> lock(mutex);
-          if (budget > winner || stop.stop_requested()) return;
-        }
-        ilp::Options stage_options = options;
-        stage_options.escalation_threads = 1;  // no recursive stage fan-out
-        stage_options.stop = stop.token();
-        StageCache<ResultT>& slot = cache[index];
-        // Speculative pinning: the serial loop pins stage b's floor at b
-        // once budgets first..b-1 are all refuted; run that model
-        // optimistically. (A pinned feasible point is feasible unpinned
-        // too, so even invalidated speculation never misleads the replay —
-        // it just re-solves live.)
-        slot.floor = budget > first_budget ? budget : 0;
-        slot.result =
-            solve_budget(budget, slot.floor, stage_options, &slot.failure);
-        const std::lock_guard<std::mutex> lock(mutex);
-        // A token that tripped during the solve truncated it; whatever it
-        // returned does not represent the full stage.
-        slot.usable = !stop.stop_requested();
-        if (slot.usable && slot.result.has_value() && budget < winner) {
-          winner = budget;
-          for (int j = 0; j < count; ++j) {
-            if (first_budget + j > winner) stops[static_cast<std::size_t>(j)]
-                .request_stop();
-          }
-        }
-      });
-  return cache;
-}
-
 /// Shared III-B-3 budget-escalation loop with optimality-certificate
 /// tracking. A budget-k model admits every cover of at most k chains
 /// (unused chains stay empty), so one proven-infeasible budget certifies
 /// that no smaller cover exists and the next model can pin its use
 /// indicators (objective floor). `solve_budget(budget, floor, opts,
 /// &failure)` returns the engine result or nullopt with the failure
-/// diagnostics.
-///
-/// With options.escalation_threads > 1 the stages are pre-solved
-/// concurrently (precompute_stages above) and the loop below consumes a
-/// cached stage whenever its floor matches the one the serial rules
-/// compute — so the stage sequence, certificates, and (with
-/// options.threads == 1 and no limits hit) per-stage counters are
-/// identical to the single-threaded escalation.
+/// diagnostics. Stages run one after another in budget order;
+/// options.threads parallelises the tree search inside each stage.
 template <typename ResultT, typename SolveBudget>
 std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
                                         const ilp::Options& options,
                                         const char* kind,
                                         SolveBudget&& solve_budget,
                                         const StoreHooks<ResultT>& hooks = {}) {
-  const std::size_t stage_count =
-      static_cast<std::size_t>(last_budget - first_budget + 1);
-
-  // Preload the stage records once: the replay loop below consults them
-  // in budget order, and the parallel pre-solve uses them as a cost model
-  // (cheap-first scheduling) and a skip list.
-  std::vector<std::optional<StageRecord>> records(stage_count);
-  if (hooks.store != nullptr) {
-    for (std::size_t i = 0; i < stage_count; ++i) {
-      records[i] = hooks.store->load(hooks.key, first_budget +
-                                                    static_cast<int>(i));
-    }
-  }
-
-  std::vector<StageCache<ResultT>> cache;
-  const int escalation_threads =
-      common::resolve_thread_count(options.escalation_threads);
-  if (escalation_threads > 1 && last_budget > first_budget) {
-    std::vector<char> skip(stage_count, 0);
-    std::vector<double> predicted(stage_count,
-                                  std::numeric_limits<double>::infinity());
-    for (std::size_t i = 0; i < stage_count; ++i) {
-      if (!records[i].has_value()) continue;
-      predicted[i] = records[i]->stage.seconds;
-      // A record the replay loop will trust (floor agreement is checked
-      // there; its own recorded floor passes trivially here) needs no
-      // speculative pre-solve — don't burn a core on it.
-      if (record_trusted(*records[i], hooks, records[i]->floor)) skip[i] = 1;
-    }
-    cache = precompute_stages<ResultT>(first_budget, last_budget, options,
-                                       escalation_threads, solve_budget,
-                                       skip, predicted);
-  }
   int proven_floor = 0;
   // Factorization and conflict work done by the abandoned/infeasible
   // budget stages. The headline counters (nodes, pivots) keep their
@@ -664,18 +534,15 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
     ilp::Result failure;
     const int floor = proven_floor == budget ? proven_floor : 0;
     std::optional<ResultT> result;
-    const std::size_t slot_index =
-        static_cast<std::size_t>(budget - first_budget);
-    const StageRecord* record = slot_index < records.size() &&
-                                        records[slot_index].has_value()
-                                    ? &*records[slot_index]
-                                    : nullptr;
+    const std::optional<StageRecord> record =
+        hooks.store != nullptr ? hooks.store->load(hooks.key, budget)
+                               : std::nullopt;
     // Resume path: a stored record that matches this iteration's exact
     // model substitutes for the solve. Refutations and abandonments are
     // replayed as recorded; a feasible final stage is never trusted
     // blindly — its witness is re-validated below, and any failure there
     // falls through to a live re-solve.
-    if (record != nullptr && record_trusted(*record, hooks, floor)) {
+    if (record.has_value() && record_trusted(*record, hooks, floor)) {
       if (record->stage.status == ilp::ResultStatus::kInfeasible) {
         stages.push_back(record->stage);
         proven_floor = budget + 1;
@@ -717,15 +584,9 @@ std::optional<ResultT> escalate_budgets(int first_budget, int last_budget,
             ": stored witness failed re-validation; re-solving live"));
       }
     }
-    StageCache<ResultT>* slot =
-        slot_index < cache.size() ? &cache[slot_index] : nullptr;
-    if (slot != nullptr && slot->usable && slot->floor == floor) {
-      // The pre-solved stage ran exactly the model this iteration wants.
-      result = std::move(slot->result);
-      failure = slot->failure;
-    } else if (record != nullptr && record->partial &&
-               record->config_fp == hooks.config_fp &&
-               record->floor == floor && !record->seeds.empty()) {
+    if (record.has_value() && record->partial &&
+        record->config_fp == hooks.config_fp && record->floor == floor &&
+        !record->seeds.empty()) {
       // Deadline checkpoint from an earlier attempt: extend it. The seeds
       // are globally valid unit nogoods, so the stage restarts with that
       // part of the search already pruned (counters will differ from an

@@ -115,11 +115,6 @@ struct Options {
   /// threaded runs reach the same optimum/status but their counters and
   /// incumbent tie-breaks depend on scheduling.
   int threads = 1;
-  /// Worker threads for the III-B-3 budget-escalation loop in
-  /// core/ilp_models' find_minimum_*: stages (budgets) run concurrently
-  /// and the first feasible budget cancels every larger stage. Same
-  /// convention as `threads`; the two compose (stages x subtrees).
-  int escalation_threads = 1;
   /// Cooperative cancellation: the search winds down (reporting
   /// kFeasible/kUnknown, like a time limit) soon after the token trips.
   /// Default-constructed tokens never trip and cost nothing to poll.

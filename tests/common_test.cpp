@@ -173,19 +173,6 @@ TEST(StopTokenTest, CopiesShareTheFlag) {
   EXPECT_TRUE(token.stop_requested());
 }
 
-TEST(StopTokenTest, ChildTripsOnParentOrOwnStop) {
-  StopSource parent;
-  StopSource child_a(parent.token());
-  StopSource child_b(parent.token());
-  const StopToken a = child_a.token();
-  const StopToken b = child_b.token();
-  child_a.request_stop();  // sibling stop stays local
-  EXPECT_TRUE(a.stop_requested());
-  EXPECT_FALSE(b.stop_requested());
-  parent.request_stop();  // parent stop reaches every child
-  EXPECT_TRUE(b.stop_requested());
-}
-
 TEST(DeadlineTest, DefaultNeverExpires) {
   const Deadline deadline;
   EXPECT_FALSE(deadline.active());
@@ -218,11 +205,15 @@ TEST(DeadlineTest, FutureDeadlineDoesNotTripYet) {
   EXPECT_FALSE(token.stop_requested());
 }
 
-TEST(DeadlineTest, ChildSourcesInheritParentDeadlines) {
-  const StopToken parent = StopToken{}.with_deadline(Deadline::after(0.0));
-  const StopSource child(parent);
-  EXPECT_TRUE(child.stop_requested());
-  EXPECT_TRUE(child.token().stop_requested());
+TEST(DeadlineTest, SourceTokenWithDeadlineTripsOnEither) {
+  StopSource source;
+  const StopToken far = source.token().with_deadline(Deadline::after(3600.0));
+  EXPECT_FALSE(far.stop_requested());
+  source.request_stop();
+  EXPECT_TRUE(far.stop_requested());
+  const StopToken past =
+      StopSource{}.token().with_deadline(Deadline::after(0.0));
+  EXPECT_TRUE(past.stop_requested());
 }
 
 TEST(ParallelTest, ResolveThreadCount) {
