@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/logging.h"
-#include "common/strings.h"
 
 namespace fpva::core {
 
@@ -35,7 +33,6 @@ struct CutPlanner::Walk {
 
 namespace {
 
-constexpr int kMaxCuts = 4096;         ///< safety valve for the cover loop
 constexpr int kMaxDetourAttempts = 8;  ///< nearest-frontier candidates to try
 
 /// The valve-parity site between two adjacent posts.
@@ -108,8 +105,7 @@ std::vector<int> dual_boundary_arcs(const grid::ValveArray& array,
   return arcs;
 }
 
-CutPlanner::CutPlanner(const grid::ValveArray& array, bool enforce_chordless)
-    : array_(&array), enforce_chordless_(enforce_chordless) {
+CutPlanner::CutPlanner(const grid::ValveArray& array) : array_(&array) {
   post_rows_ = array.rows() + 1;
   post_cols_ = array.cols() + 1;
   arc_of_post_ = dual_boundary_arcs(array, &arc_count_);
@@ -295,64 +291,6 @@ std::optional<CutSet> CutPlanner::staircase(int diagonal) const {
   if (cut.sites.empty()) return std::nullopt;
   if (validate_cut_set(*array_, cut).has_value()) return std::nullopt;
   return cut;
-}
-
-CutPlanner::CoverResult CutPlanner::cover(const std::vector<bool>& targets) {
-  common::check(static_cast<int>(targets.size()) == array_->valve_count(),
-                "CutPlanner::cover: mask arity != valve count");
-  CoverResult result;
-  std::vector<bool> covered(targets.size(), false);
-
-  // Phase 1: the staircase family.
-  const int max_diagonal = array_->rows() + array_->cols() - 2;
-  for (int d = 1; d <= max_diagonal; ++d) {
-    auto cut = staircase(d);
-    if (!cut.has_value()) continue;
-    bool useful = false;
-    for (const grid::ValveId valve : cut_valves(*array_, *cut)) {
-      if (targets[static_cast<std::size_t>(valve)] &&
-          !covered[static_cast<std::size_t>(valve)]) {
-        useful = true;
-        break;
-      }
-    }
-    if (!useful) continue;
-    if (enforce_chordless_) make_chordless(*cut);
-    for (const grid::ValveId valve : cut_valves(*array_, *cut)) {
-      covered[static_cast<std::size_t>(valve)] = true;
-    }
-    result.cuts.push_back(std::move(*cut));
-    if (static_cast<int>(result.cuts.size()) >= kMaxCuts) break;
-  }
-
-  // Phase 2: dual-snake patches for valves the staircases missed.
-  std::vector<bool> wanted(targets.size());
-  std::vector<bool> abandoned(targets.size(), false);
-  while (static_cast<int>(result.cuts.size()) < kMaxCuts) {
-    grid::ValveId seed = grid::kInvalidValve;
-    for (std::size_t v = 0; v < targets.size(); ++v) {
-      wanted[v] = targets[v] && !covered[v] && !abandoned[v];
-      if (wanted[v] && seed == grid::kInvalidValve) {
-        seed = static_cast<grid::ValveId>(v);
-      }
-    }
-    if (seed == grid::kInvalidValve) break;
-    auto cut = build_cut(seed, wanted, nullptr, nullptr);
-    if (!cut.has_value()) {
-      abandoned[static_cast<std::size_t>(seed)] = true;
-      continue;
-    }
-    for (const grid::ValveId valve : cut_valves(*array_, *cut)) {
-      covered[static_cast<std::size_t>(valve)] = true;
-    }
-    result.cuts.push_back(std::move(*cut));
-  }
-  for (std::size_t v = 0; v < abandoned.size(); ++v) {
-    if (abandoned[v] && !covered[v]) {
-      result.uncoverable.push_back(static_cast<grid::ValveId>(v));
-    }
-  }
-  return result;
 }
 
 std::optional<CutSet> CutPlanner::cut_through(grid::ValveId through,
@@ -552,7 +490,7 @@ std::optional<CutSet> CutPlanner::finalize(
     cut.sites.push_back(site_between_posts(
         post_site(walk.posts[i]), post_site(walk.posts[i + 1])));
   }
-  if (enforce_chordless_) make_chordless(cut);
+  make_chordless(cut);
   if (avoid != nullptr) {
     // Chord absorption (constraint (9)) may have pulled in a valve the
     // caller explicitly excluded; such a cut shape is unusable.

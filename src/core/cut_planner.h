@@ -56,15 +56,7 @@ std::vector<int> dual_boundary_arcs(const grid::ValveArray& array,
 
 class CutPlanner {
  public:
-  struct CoverResult {
-    std::vector<CutSet> cuts;
-    /// Valves no valid cut can contain (e.g. bridged by a channel).
-    std::vector<grid::ValveId> uncoverable;
-  };
-
-  /// `enforce_chordless` applies constraint (9) to every cut.
-  explicit CutPlanner(const grid::ValveArray& array,
-                      bool enforce_chordless = true);
+  explicit CutPlanner(const grid::ValveArray& array);
 
   const grid::ValveArray& array() const { return *array_; }
 
@@ -72,10 +64,6 @@ class CutPlanner {
   /// d in [1, rows+cols-2]; std::nullopt when a channel breaks the
   /// interface or the staircase fails validation.
   std::optional<CutSet> staircase(int diagonal) const;
-
-  /// Generates cuts (staircases first, dual-snake patches second) until all
-  /// valves in `targets` are covered or proven uncoverable.
-  CoverResult cover(const std::vector<bool>& targets);
 
   /// One cut containing `through`, optionally refusing to include valves
   /// marked in `avoid`. Used by the masking-repair loop.
@@ -134,7 +122,6 @@ class CutPlanner {
                                  const std::vector<bool>* avoid) const;
 
   const grid::ValveArray* array_;
-  bool enforce_chordless_ = true;
   int post_rows_ = 0;
   int post_cols_ = 0;
   std::vector<int> arc_of_post_;  ///< boundary arc id per post, -1 interior

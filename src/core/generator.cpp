@@ -52,6 +52,10 @@ namespace {
 /// undetected.
 constexpr int kMaxRepairRounds = 3;
 
+/// Valve-count ceiling for the ILP path engine before it falls back to the
+/// constructive engine.
+constexpr int kIlpValveLimit = 60;
+
 /// Targets mask: every valve except the structurally untestable ones.
 std::vector<bool> testable_mask(const grid::ValveArray& array,
                                 const std::vector<grid::ValveId>& untestable) {
@@ -78,7 +82,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
   GeneratedTestSet out;
   const sim::Simulator simulator(array);
   PathPlanner path_planner(array);
-  CutPlanner cut_planner(array, options.two_fault_exclusion);
+  CutPlanner cut_planner(array);
 
   out.untestable = channel_bypassed_valves(array);
   const std::vector<bool> targets = testable_mask(array, out.untestable);
@@ -87,7 +91,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
   common::Timer path_timer;
   std::vector<grid::ValveId> path_uncoverable;
   if (options.path_engine == GeneratorOptions::PathEngine::kIlp &&
-      array.valve_count() <= options.ilp_valve_limit) {
+      array.valve_count() <= kIlpValveLimit) {
     auto ilp_paths = find_minimum_flow_paths(
         array, 1, std::max(2, array.valve_count()));
     if (ilp_paths.has_value()) {
@@ -107,8 +111,8 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
     }
   } else if (options.path_engine == GeneratorOptions::PathEngine::kIlp) {
     common::log_warning(cat("array has ", array.valve_count(),
-                            " valves > ilp_valve_limit ",
-                            options.ilp_valve_limit,
+                            " valves > ILP valve limit ",
+                            kIlpValveLimit,
                             "; using the constructive engine"));
   }
   if (out.paths.empty()) {
@@ -150,7 +154,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
   }
 
   // Behavioral stuck-at-0 validation and repair.
-  if (options.repair) {
+  {
     std::vector<sim::Fault> sa0_universe;
     for (grid::ValveId v = 0; v < array.valve_count(); ++v) {
       if (targets[static_cast<std::size_t>(v)]) {
@@ -183,19 +187,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
 
   // ----------------------------------------------------------------- cuts
   common::Timer cut_timer;
-  if (options.generate_cut_vectors && !options.repair) {
-    // Ablation mode: purely structural cut cover, no behavioral checks.
-    auto result = cut_planner.cover(targets);
-    out.cuts = std::move(result.cuts);
-    if (!result.uncoverable.empty()) {
-      common::log_warning(cat(result.uncoverable.size(),
-                              " valves admit no valid cut-set"));
-    }
-    for (std::size_t i = 0; i < out.cuts.size(); ++i) {
-      out.vectors.push_back(to_test_vector(array, simulator, out.cuts[i],
-                                           cat("cut ", i + 1)));
-    }
-  } else if (options.generate_cut_vectors) {
+  {
     // Phase A: the staircase family (well-shaped: one interface each).
     std::vector<bool> structurally_covered(targets.size(), false);
     const int max_diagonal = array.rows() + array.cols() - 2;
@@ -259,7 +251,7 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
 
   // ---------------------------------------------------------------- leaks
   common::Timer leak_timer;
-  if (options.generate_leak_vectors) {
+  {
     const std::vector<sim::Fault> leak_universe =
         sim::control_leak_universe(array);
     auto report =
@@ -331,15 +323,13 @@ GeneratedTestSet generate_test_set(const grid::ValveArray& array,
       full_universe.push_back(sim::stuck_at_1(v));
     }
   }
-  if (options.generate_leak_vectors) {
-    for (const sim::Fault& leak : sim::control_leak_universe(array)) {
-      const bool untestable_pair =
-          std::find(out.untestable_leaks.begin(),
-                    out.untestable_leaks.end(),
-                    leak) != out.untestable_leaks.end();
-      if (!untestable_pair) {
-        full_universe.push_back(leak);
-      }
+  for (const sim::Fault& leak : sim::control_leak_universe(array)) {
+    const bool untestable_pair =
+        std::find(out.untestable_leaks.begin(),
+                  out.untestable_leaks.end(),
+                  leak) != out.untestable_leaks.end();
+    if (!untestable_pair) {
+      full_universe.push_back(leak);
     }
   }
   out.undetected =

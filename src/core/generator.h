@@ -24,7 +24,10 @@ struct GeneratorOptions {
   /// Which engine produces the flow paths.
   enum class PathEngine {
     kConstructive,  ///< greedy snake (scalable; default)
-    kIlp,           ///< the paper's ILP model via ilp::solve (small arrays)
+    /// The paper's ILP model via ilp::solve, run with the default
+    /// ilp::Options. Arrays above 60 valves fall back to the constructive
+    /// engine (the paper's own motivation for the hierarchy).
+    kIlp,
   };
   PathEngine path_engine = PathEngine::kConstructive;
 
@@ -32,20 +35,6 @@ struct GeneratorOptions {
   /// and cover band by band (the scalable hierarchical mode of III-B-4).
   bool hierarchical = false;
   int block_size = 5;
-
-  bool generate_cut_vectors = true;
-  bool generate_leak_vectors = true;
-
-  /// Behavioral single-fault validation + targeted repair vectors.
-  bool repair = true;
-
-  /// Apply the masking-pattern exclusion of constraint (9) (chordless cuts).
-  bool two_fault_exclusion = true;
-
-  /// Valve-count ceiling for the ILP engine before it falls back to the
-  /// constructive engine (the paper's own motivation for the hierarchy).
-  /// The engine runs with the default ilp::Options.
-  int ilp_valve_limit = 60;
 };
 
 /// Wall-clock cost and output size of one generation stage (a Table-I

@@ -20,7 +20,7 @@ enum class VectorKind : std::uint8_t {
   kFlowPath,     ///< stuck-at-0 test: a simple source->sink path is opened
   kCutSet,       ///< stuck-at-1 test: a source/sink-separating cut is closed
   kControlLeak,  ///< control-layer leakage test
-  kOther,        ///< baseline or hand-written vectors
+  kOther,        ///< hand-written vectors
 };
 
 /// One complete test application.

@@ -620,15 +620,14 @@ TEST(AdaptiveDiagnosisTest, DiagnosabilityReportIsConsistent) {
 }
 
 TEST(AdaptiveDiagnosisTest, MoreVectorsNeverReduceResolution) {
+  // The thin set is the path-stage prefix of the full program.
   const auto array = grid::full_array(4, 4);
-  core::GeneratorOptions thin;
-  thin.generate_cut_vectors = false;
-  thin.generate_leak_vectors = false;
+  const auto set = core::generate_test_set(array);
+  const std::vector<sim::TestVector> thin(
+      set.vectors.begin(), set.vectors.begin() + set.path_stage.vectors);
   const auto universe = single_fault_universe(array);
-  const AdaptiveDiagnoser thin_diagnoser(
-      array, core::generate_test_set(array, thin).vectors, universe, {});
-  const AdaptiveDiagnoser full_diagnoser(
-      array, core::generate_test_set(array).vectors, universe, {});
+  const AdaptiveDiagnoser thin_diagnoser(array, thin, universe, {});
+  const AdaptiveDiagnoser full_diagnoser(array, set.vectors, universe, {});
   const auto thin_report = thin_diagnoser.diagnosability();
   const auto full_report = full_diagnoser.diagnosability();
   EXPECT_GE(full_report.detected_hypotheses,

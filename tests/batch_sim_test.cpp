@@ -3,6 +3,11 @@
 // with the scalar Simulator oracle on every array shape and fault mix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <thread>
+
 #include "common/check.h"
 #include "common/deadline.h"
 #include "common/rng.h"
@@ -597,6 +602,43 @@ TEST(CampaignStopTest, MidCampaignCancelReportsOnlyWholeShards) {
   }
   EXPECT_EQ(result.interrupted,
             reported < 5L * options.trials_per_count);
+}
+
+TEST(CampaignStopTest, MidRunStopReturnsPromptly) {
+  // The 30x30 preset program against 5 x 400 000 trials runs about 1.8 s
+  // uninterrupted in Release on a 4-core x86 VM, so every trip below lands
+  // mid-run: the campaign must report interrupted and return within the
+  // grace period of the trip.
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kGrace = std::chrono::seconds(2);
+  const auto array = grid::table1_array(30);
+  const Simulator simulator(array);
+  core::GeneratorOptions generator;
+  generator.hierarchical = true;
+  const auto set = core::generate_test_set(array, generator);
+  Clock::duration worst{};
+  for (const int delay_ms : {20, 80, 200}) {
+    common::StopSource source;
+    CampaignOptions options;
+    options.trials_per_count = 400000;
+    options.stop = source.token();
+    Clock::time_point tripped_at;
+    std::thread canceller([&source, &tripped_at, delay_ms] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      tripped_at = Clock::now();
+      source.request_stop();
+    });
+    const CampaignResult result =
+        run_campaign(simulator, set.vectors, options);
+    const Clock::time_point returned_at = Clock::now();
+    canceller.join();
+    EXPECT_TRUE(result.interrupted) << delay_ms << " ms";
+    const Clock::duration latency = returned_at - tripped_at;
+    EXPECT_LT(latency, kGrace) << delay_ms << " ms";
+    worst = std::max(worst, latency);
+  }
+  std::printf("max campaign stop latency: %.1f ms\n",
+              std::chrono::duration<double, std::milli>(worst).count());
 }
 
 TEST(CampaignStopTest, TrippedTokenAbandonsTheDropStep) {

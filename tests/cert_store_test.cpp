@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/logging.h"
 #include "core/cert_store.h"
 #include "grid/presets.h"
 #include "scoped_temp_dir.h"
@@ -96,34 +97,93 @@ TEST(CertStoreTest, KeySeparatesArraysAndKinds) {
   EXPECT_NE(CertStore::key_for(a, "cut"), CertStore::key_for(a, "path"));
 }
 
+/// Drops warnings for its lifetime: the corruption sweeps below quarantine
+/// hundreds of entries, each of which logs one.
+class QuietWarnings {
+ public:
+  QuietWarnings() : saved_(common::log_level()) {
+    common::set_log_level(common::LogLevel::kError);
+  }
+  ~QuietWarnings() { common::set_log_level(saved_); }
+  QuietWarnings(const QuietWarnings&) = delete;
+  QuietWarnings& operator=(const QuietWarnings&) = delete;
+
+ private:
+  common::LogLevel saved_;
+};
+
+/// Stores sample_record() for a 3x3 cut key and returns its file bytes.
+std::string stored_bytes(CertStore& store, const std::string& key) {
+  EXPECT_TRUE(store.save(key, 2, sample_record()));
+  std::ifstream in(entry_file(store, key, 2), std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Writes `bytes` as the entry for (key, budget 2), loads it, and checks
+/// the outcome: never a hit, and either quarantined (the file moved to
+/// `.bad`) or a plain miss (the file left in place).
+void expect_quarantined_or_missed(CertStore& store, const std::string& key,
+                                  const std::string& bytes,
+                                  const std::string& label) {
+  const std::string path = entry_file(store, key, 2);
+  const std::string bad = path + ".bad";
+  std::remove(bad.c_str());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  const int quarantined_before = store.quarantined();
+  EXPECT_FALSE(store.load(key, 2).has_value()) << label;
+  struct stat info {};
+  const bool moved = ::stat(path.c_str(), &info) != 0 &&
+                     ::stat(bad.c_str(), &info) == 0;
+  if (store.quarantined() == quarantined_before) {
+    EXPECT_FALSE(moved) << label << ": plain miss moved the entry";
+  } else {
+    EXPECT_EQ(store.quarantined(), quarantined_before + 1) << label;
+    EXPECT_TRUE(moved) << label << ": quarantine left the entry in place";
+  }
+}
+
 TEST(CertStoreTest, CorruptedEntryIsQuarantinedAndMissed) {
+  // Every single-byte corruption of one stored record, header and payload
+  // alike: the low-bit flip keeps digits digits, the all-bit flip leaves
+  // ASCII.
   const ScopedTempDir dir("cert_store_test_corrupt");
   CertStore store(dir.path());
-  ASSERT_TRUE(store.save("deadbeef", 2, sample_record()));
-  const std::string path = entry_file(store, "deadbeef", 2);
-  {
-    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(60);
-    file.put('#');  // flip a payload byte: checksum must catch it
+  const std::string key = CertStore::key_for(grid::full_array(3, 3), "cut");
+  const std::string original = stored_bytes(store, key);
+  ASSERT_FALSE(original.empty());
+  const QuietWarnings quiet;
+  for (std::size_t at = 0; at < original.size(); ++at) {
+    for (const unsigned char mask : {0x01, 0xff}) {
+      std::string bytes = original;
+      bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^
+                                    mask);
+      expect_quarantined_or_missed(
+          store, key, bytes,
+          "byte " + std::to_string(at) + " ^ " + std::to_string(mask));
+    }
   }
-  EXPECT_FALSE(store.load("deadbeef", 2).has_value());
-  EXPECT_EQ(store.quarantined(), 1);
-  struct stat info {};
-  EXPECT_NE(::stat(path.c_str(), &info), 0);  // original gone...
-  EXPECT_EQ(::stat((path + ".bad").c_str(), &info), 0);  // ...quarantined
-  // The quarantined entry is a miss, and a re-solve can overwrite it.
-  ASSERT_TRUE(store.save("deadbeef", 2, sample_record()));
-  EXPECT_TRUE(store.load("deadbeef", 2).has_value());
+  EXPECT_GT(store.quarantined(), 0);
+  // A quarantined entry is a miss, and a re-solve can overwrite it.
+  ASSERT_TRUE(store.save(key, 2, sample_record()));
+  EXPECT_TRUE(store.load(key, 2).has_value());
 }
 
 TEST(CertStoreTest, TruncatedEntryIsQuarantined) {
+  // Every proper prefix of one stored record, from the empty file up.
   const ScopedTempDir dir("cert_store_test_truncated");
   CertStore store(dir.path());
-  ASSERT_TRUE(store.save("deadbeef", 2, sample_record()));
-  const std::string path = entry_file(store, "deadbeef", 2);
-  ASSERT_EQ(::truncate(path.c_str(), 40), 0);  // cut mid-payload
-  EXPECT_FALSE(store.load("deadbeef", 2).has_value());
-  EXPECT_EQ(store.quarantined(), 1);
+  const std::string key = CertStore::key_for(grid::full_array(3, 3), "cut");
+  const std::string original = stored_bytes(store, key);
+  ASSERT_FALSE(original.empty());
+  const QuietWarnings quiet;
+  for (std::size_t length = 0; length < original.size(); ++length) {
+    expect_quarantined_or_missed(store, key, original.substr(0, length),
+                                 "length " + std::to_string(length));
+  }
+  EXPECT_EQ(store.quarantined(), static_cast<int>(original.size()));
 }
 
 TEST(CertStoreTest, VersionMismatchIsAPlainMiss) {

@@ -15,11 +15,6 @@ namespace {
 using grid::Cell;
 using grid::Site;
 
-std::vector<bool> all_targets(const grid::ValveArray& array) {
-  return std::vector<bool>(static_cast<std::size_t>(array.valve_count()),
-                           true);
-}
-
 TEST(DualGridTest, PostIdsRoundTrip) {
   const auto array = grid::full_array(3, 5);
   EXPECT_EQ(dual_post_count(array), 4 * 6);
@@ -67,47 +62,39 @@ TEST(CutPlannerTest, StaircasePartitionsFullArrayValves) {
 }
 
 TEST(CutPlannerTest, StaircaseCountMatchesTable1Law) {
-  // n_c = 2n-2 staircases on full arrays reproduces Table I's cut counts.
+  // n_c = 2n-2 staircases on full arrays reproduces Table I's cut counts:
+  // every staircase exists, and the generator's cut stage needs no more.
   for (const int n : {5, 10, 15}) {
     const auto array = grid::full_array(n, n);
-    CutPlanner planner(array);
-    const auto result = planner.cover(all_targets(array));
-    EXPECT_EQ(static_cast<int>(result.cuts.size()), 2 * n - 2) << "n=" << n;
-    EXPECT_TRUE(result.uncoverable.empty());
+    const CutPlanner planner(array);
+    for (int d = 1; d <= 2 * n - 2; ++d) {
+      EXPECT_TRUE(planner.staircase(d).has_value()) << "n=" << n << " d=" << d;
+    }
+    const auto set = generate_test_set(array);
+    EXPECT_EQ(set.cut_stage.vectors, 2 * n - 2) << "n=" << n;
+    EXPECT_TRUE(set.undetected.empty()) << "n=" << n;
   }
 }
 
 TEST(CutPlannerTest, ChannelBreaksOneStaircase) {
+  // The generator patches the broken interface with snake cuts (see
+  // CutCoverSweep).
   const auto array = grid::table1_array(5);  // channel at (5,4), interface 4
   CutPlanner planner(array);
   EXPECT_FALSE(planner.staircase(4).has_value());
   EXPECT_TRUE(planner.staircase(3).has_value());
-  // cover() patches the broken interface with snake cuts.
-  const auto result = planner.cover(all_targets(array));
-  EXPECT_TRUE(result.uncoverable.empty());
-  std::vector<bool> covered(static_cast<std::size_t>(array.valve_count()),
-                            false);
-  for (const CutSet& cut : result.cuts) {
-    EXPECT_EQ(validate_cut_set(array, cut), std::nullopt);
-    for (const grid::ValveId v : cut_valves(array, cut)) {
-      covered[static_cast<std::size_t>(v)] = true;
-    }
-  }
-  for (std::size_t v = 0; v < covered.size(); ++v) {
-    EXPECT_TRUE(covered[v]) << "valve " << v;
-  }
 }
 
 class CutCoverSweep : public ::testing::TestWithParam<int> {};
 
+// The generator's cuts -- staircases plus dual-snake patches -- are valid
+// cut-sets and together contain every valve of the preset.
 TEST_P(CutCoverSweep, CoversTable1Array) {
   const auto array = grid::table1_array(GetParam());
-  CutPlanner planner(array);
-  const auto result = planner.cover(all_targets(array));
-  EXPECT_TRUE(result.uncoverable.empty());
+  const auto set = generate_test_set(array);
   std::vector<bool> covered(static_cast<std::size_t>(array.valve_count()),
                             false);
-  for (const CutSet& cut : result.cuts) {
+  for (const CutSet& cut : set.cuts) {
     EXPECT_EQ(validate_cut_set(array, cut), std::nullopt);
     for (const grid::ValveId v : cut_valves(array, cut)) {
       covered[static_cast<std::size_t>(v)] = true;
@@ -203,35 +190,44 @@ grid::ValveArray oracle_layout(const std::string& name) {
 
 class ChordlessOracleSweep : public ::testing::TestWithParam<std::string> {};
 
-// Every cut the generator emits, with and without constraint (9), and each
-// of its one-site-short copies (the dropped site becomes a chord when both
-// of its posts stay on the curve): the planner must absorb the same chords
-// in the same order as the full scan.
+// Every cut the generator emits, each of its one-site-short copies (the
+// dropped site becomes a chord when both of its posts stay on the curve),
+// and each of its tail-truncated copies (make_chordless appends chords at
+// the tail, so these bring back the multi-chord curves from before
+// absorption): the planner must absorb the same chords in the same order
+// as the full scan.
 TEST_P(ChordlessOracleSweep, MatchesFullValveScan) {
   const grid::ValveArray array = oracle_layout(GetParam());
   const CutPlanner planner(array);
+  const auto set = generate_test_set(array);
+  ASSERT_FALSE(set.cuts.empty());
   int chords = 0;
-  for (const bool exclusion : {true, false}) {
-    GeneratorOptions options;
-    options.two_fault_exclusion = exclusion;
-    options.generate_leak_vectors = false;
-    const auto set = generate_test_set(array, options);
-    ASSERT_FALSE(set.cuts.empty());
-    for (const CutSet& emitted : set.cuts) {
-      for (std::size_t drop = 0; drop <= emitted.sites.size(); ++drop) {
-        CutSet input = emitted;
-        if (drop < input.sites.size()) {
-          input.sites.erase(input.sites.begin() +
-                            static_cast<std::ptrdiff_t>(drop));
-        }
-        CutSet expected = input;
-        chordless_by_full_scan(array, expected);
-        CutSet actual = input;
-        planner.make_chordless(actual);
-        ASSERT_EQ(actual.sites, expected.sites)
-            << "exclusion=" << exclusion << " drop=" << drop;
-        chords += static_cast<int>(expected.sites.size() - input.sites.size());
+  const auto check = [&](const CutSet& input, const std::string& label) {
+    CutSet expected = input;
+    chordless_by_full_scan(array, expected);
+    CutSet actual = input;
+    planner.make_chordless(actual);
+    ASSERT_EQ(actual.sites, expected.sites) << label;
+    chords += static_cast<int>(expected.sites.size() - input.sites.size());
+  };
+  for (const CutSet& emitted : set.cuts) {
+    // Constraint (9) holds on every emitted cut, staircases included.
+    CutSet absorbed = emitted;
+    chordless_by_full_scan(array, absorbed);
+    EXPECT_EQ(absorbed.sites, emitted.sites);
+    const std::size_t size = emitted.sites.size();
+    for (std::size_t drop = 0; drop <= size; ++drop) {
+      CutSet input = emitted;
+      if (drop < size) {
+        input.sites.erase(input.sites.begin() +
+                          static_cast<std::ptrdiff_t>(drop));
       }
+      check(input, "drop=" + std::to_string(drop));
+    }
+    for (std::size_t keep = 1; keep < size; ++keep) {
+      CutSet input = emitted;
+      input.sites.resize(keep);
+      check(input, "keep=" + std::to_string(keep));
     }
   }
   EXPECT_GT(chords, 0);  // the sweep exercised real absorption

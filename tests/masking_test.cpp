@@ -60,21 +60,19 @@ TEST(MaskingTest, TwoFaultGuaranteeOnTable1_5x5) {
 }
 
 TEST(MaskingTest, RepairAddsVectorsWhenSetIsWeak) {
-  // Start from a deliberately weak set (paths only, no cuts): stuck-at-1
-  // faults are invisible, so pairs escape and the auditor must add cut
-  // vectors.
+  // Start from a deliberately weak set (the path-stage vectors only, no
+  // cuts): stuck-at-1 faults are invisible, so pairs escape and the auditor
+  // must add cut vectors.
   const auto array = grid::full_array(4, 4);
   const sim::Simulator simulator(array);
-  GeneratorOptions options;
-  options.generate_cut_vectors = false;
-  options.generate_leak_vectors = false;
-  auto set = generate_test_set(array, options);
-  const std::size_t before_count = set.vectors.size();
-  const auto audit =
-      audit_and_repair_two_faults(array, simulator, set.vectors);
+  const auto set = generate_test_set(array);
+  std::vector<sim::TestVector> vectors(
+      set.vectors.begin(), set.vectors.begin() + set.path_stage.vectors);
+  const std::size_t before_count = vectors.size();
+  const auto audit = audit_and_repair_two_faults(array, simulator, vectors);
   EXPECT_LT(audit.before.detected_pairs, audit.before.total_pairs);
   EXPECT_GT(audit.added_vectors, 0);
-  EXPECT_GT(set.vectors.size(), before_count);
+  EXPECT_GT(vectors.size(), before_count);
   EXPECT_GT(audit.after.detected_pairs, audit.before.detected_pairs);
 }
 

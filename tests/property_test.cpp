@@ -323,9 +323,9 @@ TEST(SolverEquivalenceProperty, IlpGeneratorsCoverIdenticallyUnderBothPipelines)
 // End-to-end generator on every Table-I preset: the ILP path engine and
 // the constructive engine must audit to identical fault coverage. The 5x5
 // preset exercises the ILP path engine (39 valves fits the limit); the
-// other side routes through the constructive engine (valve limit 0). The
-// repair loop makes audited coverage invariant across engines, so the
-// comparison stays meaningful.
+// other side routes through the constructive engine. The repair loop makes
+// audited coverage invariant across engines, so the comparison stays
+// meaningful.
 TEST(SolverEquivalenceProperty, TableOnePresetsCoverIdenticallyUnderBothPipelines) {
   for (const int n : grid::table1_sizes()) {
 #ifndef NDEBUG
@@ -334,8 +334,9 @@ TEST(SolverEquivalenceProperty, TableOnePresetsCoverIdenticallyUnderBothPipeline
     const auto array = grid::table1_array(n);
     core::GeneratorOptions ilp_engine;
     ilp_engine.path_engine = core::GeneratorOptions::PathEngine::kIlp;
-    core::GeneratorOptions constructive = ilp_engine;
-    constructive.ilp_valve_limit = 0;
+    core::GeneratorOptions constructive;
+    constructive.path_engine =
+        core::GeneratorOptions::PathEngine::kConstructive;
     const auto ilp_set = core::generate_test_set(array, ilp_engine);
     const auto constructive_set = core::generate_test_set(array, constructive);
 
