@@ -3,6 +3,7 @@
 #ifdef FPVA_FAILPOINTS
 
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <atomic>
 #include <map>
@@ -122,10 +123,6 @@ void reset() {
   st.crash_at = 0;
   active.store(false, std::memory_order_relaxed);
   counter.store(0, std::memory_order_relaxed);
-}
-
-std::uint64_t evaluations() {
-  return counter.load(std::memory_order_relaxed);
 }
 
 }  // namespace fpva::common::failpoint

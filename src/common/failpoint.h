@@ -25,7 +25,6 @@
 #ifndef FPVA_COMMON_FAILPOINT_H
 #define FPVA_COMMON_FAILPOINT_H
 
-#include <cstdint>
 #include <string>
 
 namespace fpva::common::failpoint {
@@ -56,9 +55,6 @@ void arm_from_env();
 /// Disarm everything and zero the evaluation counter.
 void reset();
 
-/// Total evaluate() calls since the last reset().
-std::uint64_t evaluations();
-
 #else  // !FPVA_FAILPOINTS
 
 inline constexpr bool kFailpointsEnabled = false;
@@ -67,7 +63,6 @@ inline Action evaluate(const char*) { return Action::kNone; }
 inline void arm(const std::string&, Action, int = 0, int = 1) {}
 inline void arm_from_env() {}
 inline void reset() {}
-inline std::uint64_t evaluations() { return 0; }
 
 #endif  // FPVA_FAILPOINTS
 

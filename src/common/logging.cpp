@@ -41,6 +41,5 @@ void log_info(const std::string& message) { log(LogLevel::kInfo, message); }
 void log_warning(const std::string& message) {
   log(LogLevel::kWarning, message);
 }
-void log_error(const std::string& message) { log(LogLevel::kError, message); }
 
 }  // namespace fpva::common

@@ -25,7 +25,6 @@ void log(LogLevel level, const std::string& message);
 void log_debug(const std::string& message);
 void log_info(const std::string& message);
 void log_warning(const std::string& message);
-void log_error(const std::string& message);
 
 }  // namespace fpva::common
 

@@ -64,11 +64,6 @@ std::string pad_right(std::string_view text, std::size_t width) {
   return std::string(text) + std::string(width - text.size(), ' ');
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
 std::optional<int> parse_int(const char* text) {
   char* end = nullptr;
   errno = 0;

@@ -38,9 +38,6 @@ std::string pad_left(std::string_view text, std::size_t width);
 /// Right-pads (align left) to `width` with spaces; never truncates.
 std::string pad_right(std::string_view text, std::size_t width);
 
-/// True when `text` begins with `prefix`.
-bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Strict decimal parse of a whole command-line argument. Unlike atoi,
 /// garbage ("abc", "5x", "") is refused rather than read as 0, and a value
 /// past int range ("4294967298") is refused rather than wrapped.

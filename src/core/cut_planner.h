@@ -66,7 +66,7 @@ class CutPlanner {
   std::optional<CutSet> staircase(int diagonal) const;
 
   /// One cut containing `through`, optionally refusing to include valves
-  /// marked in `avoid`. Used by the masking-repair loop.
+  /// marked in `avoid`.
   std::optional<CutSet> cut_through(grid::ValveId through,
                                     const std::vector<bool>* avoid = nullptr);
 

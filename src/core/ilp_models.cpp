@@ -1,9 +1,7 @@
 #include "core/ilp_models.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -16,7 +14,6 @@
 #include "common/strings.h"
 #include "core/cert_store.h"
 #include "core/cut_planner.h"
-#include "ilp/presolve.h"
 #include "lp/model.h"
 #include "sim/simulator.h"
 
@@ -69,7 +66,7 @@ struct Chain {
 /// Builds the budgeted model, solves it, and walks the solution into
 /// chains. Returns nullopt when infeasible or the solver gave up.
 std::optional<std::vector<Chain>> solve_chain_model(
-    const ChainSpec& spec, int budget, const ilp::Options& base_options,
+    const ChainSpec& spec, int budget, const ilp::Options& options,
     ilp::Result* diagnostics) {
   check(budget >= 1, "solve_chain_model: budget must be positive");
   const int site_count = static_cast<int>(spec.sites.size());
@@ -221,55 +218,10 @@ std::optional<std::vector<Chain>> solve_chain_model(
                          1.0);
   }
 
-  // Emit the model through the presolver: root reductions (bound
-  // tightening, implied fixings, row removal) happen once here, the search
-  // runs on the reduced model, and the incumbent is mapped back to the
-  // original variable space for chain extraction.
-  ilp::Options options = base_options;
-  options.objective_is_integral = true;
-  if (options.branching == ilp::Branching::kAuto) {
-    // The chain-major variable layout makes input-order dives construct
-    // one chain at a time; propagation then refutes dead prefixes without
-    // LP help. Callers can still force any rule explicitly.
-    options.branching = ilp::Branching::kInputOrder;
-  }
-  const ilp::Presolved pres = ilp::presolve(model);
-  ilp::Result result;
-  if (pres.infeasible) {
-    result.status = ilp::ResultStatus::kInfeasible;
-    result.best_bound = std::numeric_limits<double>::infinity();
-    if (diagnostics != nullptr) *diagnostics = result;
-    return std::nullopt;
-  }
-  if (pres.is_identity) {
-    options.presolve = false;  // nothing to reduce; skip the second pass
-    result = ilp::solve(model, options);
-  } else {
-    common::log_debug(common::cat(
-        "chain ILP presolve: ", pres.stats.variables_fixed, " of ",
-        pres.original_variables, " variables fixed, ", pres.stats.rows_removed,
-        " rows dropped, ", pres.stats.bounds_tightened, " bounds tightened"));
-    options.presolve = false;  // already reduced
-    // The integral-spacing prune is only valid on the reduced objective
-    // when the fixed contribution is itself integral (it always is for the
-    // paper's models, where only the p indicators carry cost).
-    if (std::abs(pres.objective_offset - std::round(pres.objective_offset)) >
-        1e-9) {
-      options.objective_is_integral = false;
-    }
-    result = ilp::solve(pres.reduced, options);
-    // Gate on status, not on values being non-empty: when presolve fixed
-    // every variable the optimal reduced solution IS the empty vector and
-    // restore() reconstructs the full point from the fixed values.
-    if (result.status == ilp::ResultStatus::kOptimal ||
-        result.status == ilp::ResultStatus::kFeasible) {
-      result.values = pres.restore(result.values);
-      result.objective = model.lp().objective_value(result.values);
-    }
-    if (std::isfinite(result.best_bound)) {
-      result.best_bound += pres.objective_offset;
-    }
-  }
+  // ilp::solve presolves the model (bound tightening, implied fixings, row
+  // removal), searches the reduced model and maps the incumbent back to
+  // this variable space for chain extraction.
+  const ilp::Result result = ilp::solve(model, options);
   if (diagnostics != nullptr) *diagnostics = result;
   if (result.status != ilp::ResultStatus::kOptimal &&
       result.status != ilp::ResultStatus::kFeasible) {
@@ -430,9 +382,7 @@ struct StoreHooks {
 /// survives a limit change, a limit-abandoned one does not.
 std::string fingerprint_config(const ilp::Options& options) {
   return common::cat(
-      "v3 int=", options.objective_is_integral, " pre=", options.presolve,
-      " branch=", static_cast<int>(options.branching),
-      " learn=", options.conflict_learning,
+      "v4 pre=", options.presolve, " learn=", options.conflict_learning,
       " jump=", options.conflict_backjumping, " threads=", options.threads,
       " lpiter=", options.lp_iteration_limit);
 }

@@ -52,7 +52,7 @@ class PathPlanner {
                               std::vector<bool>& covered);
 
   /// One path that crosses `through`, optionally refusing to cross any
-  /// valve marked true in `avoid` (used by the masking-repair loop). When
+  /// valve marked true in `avoid` (the port advisor's separability test). When
   /// `prefer` is given, the snake extends the path through those valves
   /// too. Returns std::nullopt when no such simple path exists.
   std::optional<FlowPath> path_through(

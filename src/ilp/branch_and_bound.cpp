@@ -60,9 +60,6 @@ struct Node {
   int depth = 0;
   int retries = 0;        ///< LP pivot-budget enlargements so far
   long lp_budget = 0;     ///< pivot budget for this node's LP
-  int branch_var = -1;    ///< variable branched to create this node
-  double branch_frac = 0.0;  ///< fractional distance closed by the branch
-  bool branch_up = false;    ///< branched toward ceil (vs floor)
 };
 
 // Cut separation (CutSeparator, clique + lifted-cover) lives in
@@ -251,9 +248,16 @@ class Searcher {
     root_upper_.resize(static_cast<std::size_t>(n));
     integer_.resize(static_cast<std::size_t>(n));
     for (int j = 0; j < n; ++j) {
-      root_lower_[static_cast<std::size_t>(j)] = model_.lp().variable(j).lower;
-      root_upper_[static_cast<std::size_t>(j)] = model_.lp().variable(j).upper;
+      const lp::Variable& var = model_.lp().variable(j);
+      root_lower_[static_cast<std::size_t>(j)] = var.lower;
+      root_upper_[static_cast<std::size_t>(j)] = var.upper;
       integer_[static_cast<std::size_t>(j)] = model_.is_integer(j) ? 1 : 0;
+      // Whole-number costs on integer variables only: every integer point
+      // then has an integral objective.
+      if (var.objective != 0.0 && (!model_.is_integer(j) ||
+                                   var.objective != std::round(var.objective))) {
+        integral_objective_ = false;
+      }
     }
     // Anytime-certificate resume, part 1: an integer seed literal is a
     // globally valid refutation ("var on the is_lower side of value admits
@@ -516,7 +520,6 @@ class Searcher {
         continue;
       }
       const double raw_bound = relaxation.objective;
-      update_pseudocost(node, raw_bound);
       const double bound = strengthen(raw_bound);
       if (bound >= prune_threshold(incumbent_objective)) {
         exhausted_bound = std::min(exhausted_bound, bound);
@@ -608,9 +611,6 @@ class Searcher {
       down.parent_bound = raw_bound;
       down.depth = node.depth + 1;
       down.lp_budget = options_.lp_iteration_limit;
-      down.branch_var = branch_var;
-      down.branch_frac = std::max(frac, kIntegralityTolerance);
-      down.branch_up = false;
 
       Node up;
       up.path = std::move(node.path);
@@ -618,9 +618,6 @@ class Searcher {
       up.parent_bound = raw_bound;
       up.depth = node.depth + 1;
       up.lp_budget = options_.lp_iteration_limit;
-      up.branch_var = branch_var;
-      up.branch_frac = std::max(1.0 - frac, kIntegralityTolerance);
-      up.branch_up = true;
 
       const bool prefer_down = frac < 0.5;
       // Depth-first: the preferred child goes on top of the stack.
@@ -990,7 +987,7 @@ class Searcher {
 
   /// With an integral objective the LP bound rounds up to the next integer.
   double strengthen(double bound) const {
-    if (!options_.objective_is_integral || !std::isfinite(bound)) {
+    if (!integral_objective_ || !std::isfinite(bound)) {
       return bound;
     }
     return std::ceil(bound - 1e-6);
@@ -1000,91 +997,24 @@ class Searcher {
     if (incumbent_objective == kInfinity) {
       return kInfinity;
     }
-    if (options_.objective_is_integral) {
+    if (integral_objective_) {
       // Any strictly better integer point improves by at least 1.
       return incumbent_objective - 1.0 + 1e-6;
     }
     return incumbent_objective - 1e-9;
   }
 
-  void ensure_pseudocost_storage() {
-    if (!pc_up_sum_.empty()) return;
-    const auto n = static_cast<std::size_t>(model_.variable_count());
-    pc_up_sum_.assign(n, 0.0);
-    pc_up_count_.assign(n, 0.0);
-    pc_down_sum_.assign(n, 0.0);
-    pc_down_count_.assign(n, 0.0);
-  }
-
-  /// Records the dual-bound degradation of the branch that created `node`.
-  void update_pseudocost(const Node& node, double bound) {
-    if (node.branch_var < 0) return;
-    ensure_pseudocost_storage();
-    if (!std::isfinite(node.parent_bound) || !std::isfinite(bound)) return;
-    const double gain = std::max(bound - node.parent_bound, 0.0);
-    const double per_unit = gain / node.branch_frac;
-    const auto v = static_cast<std::size_t>(node.branch_var);
-    if (node.branch_up) {
-      pc_up_sum_[v] += per_unit;
-      pc_up_count_[v] += 1.0;
-    } else {
-      pc_down_sum_[v] += per_unit;
-      pc_down_count_[v] += 1.0;
-    }
-  }
-
-  /// Pseudocost of branching `var` in one direction; initialized from the
-  /// objective coefficient until real observations arrive.
-  double pseudocost(int var, bool up) const {
-    const auto v = static_cast<std::size_t>(var);
-    if (!pc_up_sum_.empty()) {
-      const double count = up ? pc_up_count_[v] : pc_down_count_[v];
-      if (count > 0.0) {
-        return (up ? pc_up_sum_[v] : pc_down_sum_[v]) / count;
-      }
-    }
-    return std::abs(model_.lp().variable(var).objective) + 1.0;
-  }
-
-  /// The active branching rule (kAuto resolves to kPseudocost).
-  Branching branching() const {
-    return options_.branching == Branching::kAuto ? Branching::kPseudocost
-                                                  : options_.branching;
-  }
-
-  /// Most promising fractional integer variable, or -1 when none is
-  /// fractional beyond tolerance. Under pseudocost branching, variables
-  /// that carry objective weight form a strictly preferred tier: deciding
-  /// them first turns budget/indicator subtrees into pure feasibility
-  /// problems that propagation can refute without enumerating the rest.
-  /// Under input-order branching the lowest fractional index wins
-  /// unconditionally (CP-style structured dives).
+  /// Lowest-index fractional integer variable, or -1 when none is
+  /// fractional beyond tolerance.
   int select_branch_variable(const std::vector<double>& values) const {
     const int n = model_.variable_count();
-    const Branching rule = branching();
-    int best = -1;
-    double best_score = 0.0;
-    bool best_weighted = false;
     for (int j = 0; j < n; ++j) {
       if (!integer_[static_cast<std::size_t>(j)]) continue;
       const double v = values[static_cast<std::size_t>(j)];
       const double frac = v - std::floor(v);
-      const double distance = std::min(frac, 1.0 - frac);
-      if (distance <= kIntegralityTolerance) continue;
-      if (rule == Branching::kInputOrder) return j;
-      // Product rule over the two estimated child degradations.
-      const double down_gain = pseudocost(j, false) * frac;
-      const double up_gain = pseudocost(j, true) * (1.0 - frac);
-      const double score = std::max(down_gain, 1e-6) * std::max(up_gain, 1e-6);
-      const bool weighted = model_.lp().variable(j).objective != 0.0;
-      if (best < 0 || (weighted && !best_weighted) ||
-          (weighted == best_weighted && score > best_score)) {
-        best_score = score;
-        best = j;
-        best_weighted = weighted;
-      }
+      if (std::min(frac, 1.0 - frac) > kIntegralityTolerance) return j;
     }
-    return best;
+    return -1;
   }
 
   const Model& model_;
@@ -1110,10 +1040,11 @@ class Searcher {
   long basis_restores_ = 0;
   long dense_fallbacks_ = 0;  ///< warm nodes re-solved via the dense oracle
   std::vector<char> integer_;  ///< cached integrality mask
+  /// Every integer point has an integral objective (see the constructor),
+  /// so a node whose bound cannot beat the incumbent by 1 is pruned.
+  bool integral_objective_ = true;
   std::vector<double> root_lower_, root_upper_;
   std::vector<double> cur_lower_, cur_upper_;  ///< this node's bounds
-  std::vector<double> pc_up_sum_, pc_up_count_;
-  std::vector<double> pc_down_sum_, pc_down_count_;
 };
 
 /// Coordinator of the parallel tree search: seeds the shared queue with
@@ -1339,6 +1270,7 @@ Result solve(const Model& model, const Options& options) {
     if (!pres->is_identity) {
       identity = false;
       working = &pres->reduced;
+      root_propagator.reset();  // only the identity path reuses it
     }
   }
 
@@ -1371,45 +1303,16 @@ Result solve(const Model& model, const Options& options) {
   // the searcher restarts its own timer, so deduct the elapsed time here.
   inner.time_limit_seconds =
       std::max(0.0, options.time_limit_seconds - timer.seconds());
-  if (inner.objective_is_integral && pres.has_value()) {
-    // The reduced objective is shifted by the fixed contribution; the
-    // integral-spacing argument only survives an integral shift.
-    const double offset = pres->objective_offset;
-    if (std::abs(offset - std::round(offset)) > 1e-9) {
-      inner.objective_is_integral = false;
-    }
-  }
   const Propagator* shared =
       root_propagated && working == &model ? &*root_propagator : nullptr;
   Result searched =
       solve_without_presolve(*working, inner, shared, root_propagated);
 
-  Result result;
-  result.status = searched.status;
-  result.nodes = searched.nodes;
-  result.lp_pivots = searched.lp_pivots;
-  result.nodes_pruned_by_propagation = searched.nodes_pruned_by_propagation;
-  result.lp_refactorizations = searched.lp_refactorizations;
-  result.lp_basis_updates = searched.lp_basis_updates;
-  result.warm_cut_rows = searched.warm_cut_rows;
-  result.basis_restores = searched.basis_restores;
-  result.conflicts = searched.conflicts;
-  result.lp_conflicts = searched.lp_conflicts;
-  result.lp_nogoods_learned = searched.lp_nogoods_learned;
-  result.lp_deadline_abandons = searched.lp_deadline_abandons;
-  result.nogoods_learned = searched.nogoods_learned;
-  result.nogoods_deleted = searched.nogoods_deleted;
-  result.backjumps = searched.backjumps;
-  result.backjump_nodes_skipped = searched.backjump_nodes_skipped;
-  result.threads_used = searched.threads_used;
-  result.nogoods_imported = searched.nogoods_imported;
-  result.subtrees_donated = searched.subtrees_donated;
-  result.lp_eta_fallbacks = searched.lp_eta_fallbacks;
-  result.lp_dense_fallbacks = searched.lp_dense_fallbacks;
-  // Unit nogoods live in the presolved variable space on purpose: a
-  // resumed solve of the same model presolves identically, so the indices
-  // line up when fed back through Options::seed_literals.
-  result.unit_nogoods = std::move(searched.unit_nogoods);
+  // The search's counters carry over as they are. Unit nogoods live in the
+  // presolved variable space on purpose: a resumed solve of the same model
+  // presolves identically, so the indices line up when fed back through
+  // Options::seed_literals.
+  Result result = std::move(searched);
   if (pres.has_value()) result.presolve_stats = pres->stats;
   if (stage.has_value()) {
     result.probe_stats = stage->probe_stats;
@@ -1420,23 +1323,17 @@ Result solve(const Model& model, const Options& options) {
     result.lp_basis_updates += stage->lp_basis_updates;
     result.warm_cut_rows += stage->warm_cut_rows;
   }
-  if (identity) {
-    result.objective = searched.objective;
-    result.values = std::move(searched.values);
-    result.best_bound = searched.best_bound;
-  } else {
+  if (!identity) {
     // Gate the postsolve on status, not on the values being non-empty: a
     // fully-fixed model legitimately returns the empty incumbent, and
     // restore() reconstructs the point from the fixed values.
-    if (searched.status == ResultStatus::kOptimal ||
-        searched.status == ResultStatus::kFeasible) {
-      result.values = pres->restore(searched.values);
+    if (result.status == ResultStatus::kOptimal ||
+        result.status == ResultStatus::kFeasible) {
+      result.values = pres->restore(result.values);
       result.objective = model.lp().objective_value(result.values);
     }
-    if (std::isfinite(searched.best_bound)) {
-      result.best_bound = searched.best_bound + pres->objective_offset;
-    } else {
-      result.best_bound = searched.best_bound;
+    if (std::isfinite(result.best_bound)) {
+      result.best_bound += pres->objective_offset;
     }
   }
   result.seconds = timer.seconds();

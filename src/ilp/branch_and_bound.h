@@ -5,7 +5,7 @@
 // backjumping — conflict.h) -> warm-started dual-simplex LP
 // (lp::RevisedSimplex, one factorized basis shared by the whole tree), whose
 // refutations (Farkas rays, bound-pruning duals) learn nogoods too ->
-// pseudocost branching. There is one search configuration; the only
+// input-order branching. There is one search configuration; the only
 // certify-time switch is Options::conflict_backjumping.
 // Nodes carry sparse bound deltas against the root instead of full bound
 // vectors, and a node LP that exhausts its pivot budget is re-queued with a
@@ -17,13 +17,19 @@
 // numerical trouble on is re-solved through lp::Algorithm::kDenseTableau).
 //
 // Depth-first diving with LP-bound pruning and a nearest-integer rounding
-// heuristic for early incumbents. Designed for the subblock-sized path/cut
-// models of the hierarchical FPVA test generator (hundreds of variables);
-// it is a faithful stand-in for the commercial ILP solver the paper used,
-// not a general-purpose MIP engine. Node propagation, root probing and the
-// root clique/cover cutting loop always run; presolve and conflict
-// learning can be switched off through Options as differential-testing
-// references. They change the route to the optimum, never the optimum.
+// heuristic for early incumbents. Branching on the lowest-index fractional
+// variable turns the dive over the chain models' chain-major variable
+// layout (core/ilp_models) into sequential chain construction that
+// propagation prunes CP-style.
+// When every nonzero objective coefficient is a whole number on an integer
+// variable, the solver reads the objective as integral off the model and
+// rounds LP bounds up. Designed for the subblock-sized path/cut models of
+// the hierarchical FPVA test generator (hundreds of variables); it is a
+// faithful stand-in for the commercial ILP solver the paper used, not a
+// general-purpose MIP engine. Node propagation, root probing and the root
+// clique/cover cutting loop always run; presolve and conflict learning can
+// be switched off through Options as differential-testing references. They
+// change the route to the optimum, never the optimum.
 #ifndef FPVA_ILP_BRANCH_AND_BOUND_H
 #define FPVA_ILP_BRANCH_AND_BOUND_H
 
@@ -57,29 +63,13 @@ struct SeedLiteral {
   double value = 0.0;
 };
 
-/// Branch-variable selection rule.
-enum class Branching {
-  /// Defer to the model emitter: core/ilp_models picks kInputOrder for the
-  /// chain models (whose chain-major variable layout turns the DFS dive
-  /// into sequential chain construction that propagation prunes CP-style);
-  /// plain ilp::solve callers resolve to kPseudocost.
-  kAuto,
-  kPseudocost,  ///< product rule over pseudocost estimates
-  kInputOrder,  ///< first fractional variable in index order
-};
-
 struct Options {
   double time_limit_seconds = 120.0;
   long max_nodes = 2'000'000;
   long lp_iteration_limit = 200000;   ///< pivot budget per node LP
-  /// When true, all objective coefficients are integral on integer-feasible
-  /// points, so a node with bound > incumbent - 1 can be pruned. All of the
-  /// paper's models (minimize the number of used paths) qualify.
-  bool objective_is_integral = false;
 
   /// Root presolve: bound tightening, implied fixings, row removal.
   bool presolve = true;
-  Branching branching = Branching::kAuto;
 
   /// Conflict-driven nogood learning (conflict.h): node propagation runs
   /// with explanations, refuted nodes are analyzed to a 1-UIP nogood, and

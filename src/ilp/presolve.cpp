@@ -597,10 +597,6 @@ std::vector<double> Presolved::restore(
   return full;
 }
 
-Presolved presolve(const Model& model) {
-  return presolve(model, Propagator(model));
-}
-
 Presolved presolve(const Model& model, const Propagator& propagator) {
   Presolved out;
   const int n = model.variable_count();

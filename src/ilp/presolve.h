@@ -152,10 +152,9 @@ struct Presolved {
   std::vector<double> restore(const std::vector<double>& reduced_values) const;
 };
 
-/// Runs the root presolve. The input model is not modified.
-Presolved presolve(const Model& model);
-
-/// Same, reusing a Propagator already built over `model`.
+/// Runs the root presolve with a Propagator built over `model` (the search
+/// reuses it when presolve finds nothing to do). The input model is not
+/// modified.
 Presolved presolve(const Model& model, const Propagator& propagator);
 
 /// Incremental single-constraint bound propagation for branch-and-bound.

@@ -38,12 +38,6 @@ void Model::set_bounds(int variable, double lower, double upper) {
   variables_[static_cast<std::size_t>(variable)].upper = upper;
 }
 
-void Model::set_objective(int variable, double objective) {
-  check(variable >= 0 && variable < variable_count(),
-        "lp::Model::set_objective: variable out of range");
-  variables_[static_cast<std::size_t>(variable)].objective = objective;
-}
-
 int Model::add_constraint(std::vector<Term> terms, Sense sense, double rhs) {
   for (const Term& term : terms) {
     check(term.variable >= 0 && term.variable < variable_count(),

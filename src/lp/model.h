@@ -48,9 +48,6 @@ class Model {
   /// Overwrites the bounds of `variable`.
   void set_bounds(int variable, double lower, double upper);
 
-  /// Overwrites the objective coefficient of `variable`.
-  void set_objective(int variable, double objective);
-
   /// Adds a constraint; terms may repeat variables (they are summed).
   /// Returns the constraint index.
   int add_constraint(std::vector<Term> terms, Sense sense, double rhs);

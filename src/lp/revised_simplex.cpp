@@ -635,11 +635,6 @@ void RevisedSimplex::compute_duals(std::vector<double>& y) const {
   btran(y);
 }
 
-double RevisedSimplex::reduced_cost(int var,
-                                    const std::vector<double>& y) const {
-  return cost_[static_cast<std::size_t>(var)] - column_dot(var, y);
-}
-
 /// Copies the BTRAN'd unit row of the violated basic into the solution's
 /// Farkas ray, oriented to the Solution::farkas_ray sign convention:
 /// `below` (basic under its lower bound) keeps +rho, an over-upper basic
@@ -847,7 +842,6 @@ bool RevisedSimplex::price(const std::vector<double>& y, bool bland,
   int best = -1;
   double best_violation = kTolerance;
   double best_score = 0.0;
-  const bool use_devex = devex() && !bland;
   const auto consider = [&](int j, double d) {
     const auto js = static_cast<std::size_t>(j);
     double v = 0.0;
@@ -863,10 +857,10 @@ bool RevisedSimplex::price(const std::vector<double>& y, bool bland,
       best_violation = v;
       return true;  // Bland: first violating index wins
     }
-    // Dantzig scores by the raw violation; devex divides by the reference
-    // weight (a running lower bound on ||B^-1 a_j||^2), approximating
-    // steepest edge without its exact-norm recurrences.
-    const double score = use_devex ? v * v / devex_weight_[js] : v;
+    // Devex scores the violation against the reference weight (a running
+    // lower bound on ||B^-1 a_j||^2), approximating steepest edge without
+    // its exact-norm recurrences.
+    const double score = v * v / devex_weight_[js];
     if (best < 0 ? v > best_violation : score > best_score) {
       best_score = score;
       best_violation = v;
@@ -913,7 +907,7 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
   std::vector<double>& y = duals_;
   std::vector<double>& alpha = work_;
   std::vector<int>& pattern = pattern_;
-  if (devex()) reset_primal_devex();  // fresh reference framework per phase
+  reset_primal_devex();  // fresh reference framework per phase
   // Pivot loop is bounded by the caller's per-solve iteration budget;
   // cancellation is polled at node granularity by the branch-and-bound
   // driver so truncated LPs replay bit-exactly on resume.
@@ -1001,7 +995,6 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
       x_[q] = direction > 0 ? upper_[q] : lower_[q];
       state_[q] = direction > 0 ? VarState::kAtUpper : VarState::kAtLower;
       ++iterations_;
-      ++total_iterations_;
       consecutive_degenerate = 0;
       continue;
     }
@@ -1041,7 +1034,7 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
 
     // Devex update prices against the pre-pivot basis inverse: it must run
     // before the eta is appended and before basis_/state_ change.
-    if (devex()) update_primal_devex(entering, leaving_row, pivot_value);
+    update_primal_devex(entering, leaving_row, pivot_value);
 
     const int leaving = basis_[static_cast<std::size_t>(leaving_row)];
     const auto ls = static_cast<std::size_t>(leaving);
@@ -1067,7 +1060,6 @@ bool RevisedSimplex::primal_iterate(long budget, Solution& result) {
     }
 
     ++iterations_;
-    ++total_iterations_;
     if (t <= kTolerance) {
       ++consecutive_degenerate;
     } else {
@@ -1094,7 +1086,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
   std::vector<int>& pattern = pattern_;
   std::vector<double>& rho = rho_;
   rho.assign(static_cast<std::size_t>(m_), 0.0);
-  if (devex()) reset_dual_devex();  // fresh row framework per dual run
+  reset_dual_devex();  // fresh row framework per dual run
   refresh_reduced_costs();
   // Bounded by the per-solve pivot budget; cancellation happens at node
   // granularity in the driver (see primal_iterate for the rationale).
@@ -1108,7 +1100,6 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
     if (values_dirty_) compute_basic_values();
 
     const bool bland = consecutive_degenerate > bland_threshold;
-    const bool use_devex = devex() && !bland;
     if (consecutive_degenerate > 8 * bland_threshold + 1000) {
       // Degenerate stalling despite Bland's rule: give up on the warm basis
       // and let the caller cold start.
@@ -1116,9 +1107,9 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
       return false;
     }
 
-    // Leaving row: the basic variable most outside its bounds — raw
-    // violation under Dantzig, violation^2 / row weight under devex (under
-    // Bland's anti-cycling rule: the lowest-index violated basic).
+    // Leaving row: the basic variable with the largest violation^2 / devex
+    // row weight (under Bland's anti-cycling rule: the lowest-index violated
+    // basic).
     int leaving_row = -1;
     double worst = kTolerance;
     double worst_score = 0.0;
@@ -1135,11 +1126,8 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
         take = leaving_row < 0 ||
                basic < basis_[static_cast<std::size_t>(leaving_row)];
       } else {
-        const double score =
-            use_devex
-                ? violation * violation /
-                      dual_weight_[static_cast<std::size_t>(i)]
-                : violation;
+        const double score = violation * violation /
+                             dual_weight_[static_cast<std::size_t>(i)];
         take = leaving_row < 0 ? violation > worst : score > worst_score;
         if (take) worst_score = score;
       }
@@ -1322,7 +1310,7 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
 
     // The dual devex update needs the FTRAN'd entering column against the
     // pre-pivot basis: run it before the eta is appended.
-    if (devex()) update_dual_devex(leaving_row, pivot_value, alpha, pattern);
+    update_dual_devex(leaving_row, pivot_value, alpha, pattern);
 
     const auto q = static_cast<std::size_t>(entering);
     const double delta_q = (x_[ls] - target) / pivot_value;
@@ -1358,7 +1346,6 @@ bool RevisedSimplex::dual_iterate(long budget, Solution& result) {
     }
 
     ++iterations_;
-    ++total_iterations_;
     if (best_ratio <= kTolerance) {
       ++consecutive_degenerate;
     } else {

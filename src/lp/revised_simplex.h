@@ -67,9 +67,6 @@ class RevisedSimplex {
   /// budget; the caller should re-solve through the dense tableau oracle.
   bool numerical_trouble() const { return numerics_failed_; }
 
-  /// Cumulative pivot count over the lifetime of the solver.
-  long total_iterations() const { return total_iterations_; }
-
   /// Appends a constraint row to the solver's private copy of the model
   /// (duplicate terms are merged; terms must reference structural
   /// variables). Under the Forrest-Tomlin factorization a valid basis is
@@ -155,7 +152,6 @@ class RevisedSimplex {
   Solution reoptimize_from_basis();
   void compute_basic_values();
   void compute_duals(std::vector<double>& y) const;
-  double reduced_cost(int var, const std::vector<double>& y) const;
   /// Copies the BTRAN'd violated-row vector into result.farkas_ray with the
   /// orientation the Solution sign convention requires (`below` = the
   /// leaving basic sat under its lower bound).
@@ -168,7 +164,6 @@ class RevisedSimplex {
   /// phase/perturbed `cost_` vector.
   void fill_primal_point(Solution& result) const;
   // --- devex ---------------------------------------------------------------
-  bool devex() const { return options_.pricing == Pricing::kDevex; }
   void reset_primal_devex();  ///< new reference framework (weights := 1)
   /// Updates the primal reference weights after pivoting `entering` into
   /// `pivot_row` (the eta of the pivot must not be appended yet: the update
@@ -231,7 +226,6 @@ class RevisedSimplex {
   bool values_dirty_ = false;
   bool numerics_failed_ = false;
 
-  long total_iterations_ = 0;
   long iterations_ = 0;  ///< pivots spent in the current solve
   long refactorizations_ = 0;
   long basis_updates_ = 0;

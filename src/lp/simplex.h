@@ -22,15 +22,9 @@ enum class SolveStatus {
 
 /// Which engine lp::solve routes through.
 enum class Algorithm {
-  kRevised,       ///< revised simplex, factorized basis (revised_simplex.h)
+  kRevised,       ///< revised simplex, factorized basis, devex pricing
+                  ///< (revised_simplex.h)
   kDenseTableau,  ///< legacy dense two-phase tableau (retained as oracle)
-};
-
-/// Entering/leaving-candidate selection rule of the revised simplex. The
-/// dense tableau always prices with Dantzig and ignores this option.
-enum class Pricing {
-  kDantzig,  ///< most-violated reduced cost (differential-testing oracle)
-  kDevex,    ///< devex reference-framework weights (primal and dual)
 };
 
 /// Basis factorization of the revised simplex. The dense tableau carries
@@ -51,7 +45,6 @@ inline constexpr double kTolerance = 1e-7;
 struct SolveOptions {
   long max_iterations = 200000;  ///< total pivot budget over both phases
   Algorithm algorithm = Algorithm::kRevised;
-  Pricing pricing = Pricing::kDevex;
   Factorization factorization = Factorization::kForrestTomlin;
   /// Fill Solution::row_duals / reduced_costs on optimal exits of the
   /// revised engine. Costs an extra BTRAN plus a pricing pass per solve,

@@ -54,39 +54,6 @@ CoverageReport single_fault_coverage(const Simulator& simulator,
   return report;
 }
 
-PairCoverageReport two_fault_coverage(const Simulator& simulator,
-                                      std::span<const TestVector> vectors,
-                                      std::span<const Fault> universe,
-                                      std::size_t max_undetected_kept) {
-  PairCoverageReport report;
-  const BatchSimulator batch(simulator.array());
-  const ActivationIndex activation(simulator.array(), vectors);
-  std::vector<FaultScenario> pool;
-  const auto flush = [&] {
-    const std::vector<int> alive =
-        *batch.undetected(activation, std::span<const FaultScenario>(pool));
-    report.detected_pairs += static_cast<long>(pool.size() - alive.size());
-    for (const int index : alive) {
-      if (report.undetected.size() >= max_undetected_kept) break;
-      const FaultScenario& pair = pool[static_cast<std::size_t>(index)];
-      report.undetected.emplace_back(pair[0], pair[1]);
-    }
-    pool.clear();
-  };
-  for (std::size_t a = 0; a < universe.size(); ++a) {
-    for (std::size_t b = a + 1; b < universe.size(); ++b) {
-      // Two faults on the same valve are contradictory (a valve cannot be
-      // both stuck open and stuck closed); skip same-valve combinations.
-      if (universe[a].valve == universe[b].valve) continue;
-      ++report.total_pairs;
-      pool.push_back({universe[a], universe[b]});
-      if (pool.size() == kChunkScenarios) flush();
-    }
-  }
-  flush();
-  return report;
-}
-
 SetCoverageReport fault_set_coverage(const Simulator& simulator,
                                      std::span<const TestVector> vectors,
                                      std::span<const Fault> universe,

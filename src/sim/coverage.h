@@ -47,30 +47,6 @@ CoverageReport single_fault_coverage(const Simulator& simulator,
                                      std::span<const TestVector> vectors,
                                      std::span<const Fault> universe);
 
-/// Exhaustive two-fault coverage: every unordered pair of distinct faults
-/// from `universe` is injected together. Quadratic in |universe|; intended
-/// for arrays up to roughly 10x10. Pairs are enumerated in universe order
-/// and dropped in bounded chunks; `undetected` keeps the first
-/// `max_undetected_kept` undetected pairs of that order.
-struct PairCoverageReport {
-  long total_pairs = 0;
-  long detected_pairs = 0;
-  std::vector<std::pair<Fault, Fault>> undetected;
-
-  double coverage() const {
-    return total_pairs == 0
-               ? 1.0
-               : static_cast<double>(detected_pairs) /
-                     static_cast<double>(total_pairs);
-  }
-  bool complete() const { return detected_pairs == total_pairs; }
-};
-
-PairCoverageReport two_fault_coverage(const Simulator& simulator,
-                                      std::span<const TestVector> vectors,
-                                      std::span<const Fault> universe,
-                                      std::size_t max_undetected_kept = 100);
-
 /// Exhaustive fault-set coverage: every size-`set_size` subset of
 /// `universe` whose faults occupy pairwise-disjoint valves (a control leak
 /// occupies both of its partners) is injected as one scenario, dropped in

@@ -409,34 +409,8 @@ TEST(CampaignEquivalenceTest, MultiFaultCoverageMatchesScalarBruteForce) {
   const std::vector<Fault> leaks = control_leak_universe(array);
   universe.insert(universe.end(), leaks.begin(), leaks.begin() + 10);
 
-  std::vector<FaultScenario> pairs;
-  for (std::size_t a = 0; a < universe.size(); ++a) {
-    for (std::size_t b = a + 1; b < universe.size(); ++b) {
-      if (universe[a].valve != universe[b].valve) {
-        pairs.push_back({universe[a], universe[b]});
-      }
-    }
-  }
-  ASSERT_GT(pairs.size(), 4096u);
-  const auto pair_expected = scalar_undetected(
-      simulator, std::span<const TestVector>(vectors),
-      std::span<const FaultScenario>(pairs));
-  ASSERT_GT(pair_expected.size(), 3u);
-  for (const std::size_t kept : {std::size_t{3}, pair_expected.size()}) {
-    const auto report = two_fault_coverage(simulator, vectors, universe, kept);
-    EXPECT_EQ(report.total_pairs, static_cast<long>(pairs.size()));
-    EXPECT_EQ(report.detected_pairs,
-              static_cast<long>(pairs.size() - pair_expected.size()));
-    ASSERT_EQ(report.undetected.size(), kept);
-    for (std::size_t i = 0; i < kept; ++i) {
-      EXPECT_EQ(report.undetected[i].first, pair_expected[i][0]) << i;
-      EXPECT_EQ(report.undetected[i].second, pair_expected[i][1]) << i;
-    }
-  }
-
-  // Size-3 sets over a smaller universe, enumerated like
-  // fault_set_coverage: universe order, pairwise-disjoint valve footprints.
-  const std::span<const Fault> small(universe.data(), 48);
+  // Both enumerations follow fault_set_coverage: universe order,
+  // pairwise-disjoint valve footprints (a leak occupies its partner too).
   const auto footprint_overlaps = [](const FaultScenario& set,
                                      const Fault& fault) {
     const auto on = [&](grid::ValveId v) {
@@ -451,6 +425,33 @@ TEST(CampaignEquivalenceTest, MultiFaultCoverageMatchesScalarBruteForce) {
     }
     return false;
   };
+  std::vector<FaultScenario> pairs;
+  for (std::size_t a = 0; a < universe.size(); ++a) {
+    for (std::size_t b = a + 1; b < universe.size(); ++b) {
+      if (!footprint_overlaps({universe[a]}, universe[b])) {
+        pairs.push_back({universe[a], universe[b]});
+      }
+    }
+  }
+  ASSERT_GT(pairs.size(), 4096u);
+  const auto pair_expected = scalar_undetected(
+      simulator, std::span<const TestVector>(vectors),
+      std::span<const FaultScenario>(pairs));
+  ASSERT_GT(pair_expected.size(), 3u);
+  for (const std::size_t kept : {std::size_t{3}, pair_expected.size()}) {
+    const auto report =
+        fault_set_coverage(simulator, vectors, universe, 2, kept);
+    EXPECT_EQ(report.total_sets, static_cast<long>(pairs.size()));
+    EXPECT_EQ(report.detected_sets,
+              static_cast<long>(pairs.size() - pair_expected.size()));
+    EXPECT_EQ(report.undetected,
+              std::vector<FaultScenario>(
+                  pair_expected.begin(),
+                  pair_expected.begin() + static_cast<std::ptrdiff_t>(kept)));
+  }
+
+  // Size-3 sets over a smaller universe.
+  const std::span<const Fault> small(universe.data(), 48);
   std::vector<FaultScenario> triples;
   for (std::size_t a = 0; a < small.size(); ++a) {
     for (std::size_t b = a + 1; b < small.size(); ++b) {
@@ -575,10 +576,9 @@ TEST(CampaignStopTest, UntrippedTokenChangesNothing) {
   }
 }
 
-TEST(CampaignStopTest, MidCampaignCancelReportsOnlyWholeShards) {
-  // Trip the token from a StopSource while the campaign runs; whatever
-  // completes must stay internally consistent (counts over the reported
-  // trials only, interrupted flag set iff trials were lost).
+TEST(CampaignStopTest, TokenTrippedBeforeStartRunsNoShard) {
+  // A token tripped before the campaign starts stops it at the first shard
+  // boundary: the campaign reports interrupted with no trial in any row.
   const auto array = grid::table1_array(5);
   const Simulator simulator(array);
   TestVector vector;
@@ -591,17 +591,14 @@ TEST(CampaignStopTest, MidCampaignCancelReportsOnlyWholeShards) {
   options.max_faults = 5;
   common::StopSource source;
   options.stop = source.token();
-  source.request_stop();  // worst case: tripped before the first shard
+  source.request_stop();
   const auto result = run_campaign(simulator, vectors, options);
+  EXPECT_TRUE(result.interrupted);
   ASSERT_EQ(result.rows.size(), 5u);
-  long reported = 0;
   for (const CampaignRow& row : result.rows) {
-    EXPECT_LE(row.trials, options.trials_per_count);
-    EXPECT_LE(row.detected, row.trials);
-    reported += row.trials;
+    EXPECT_EQ(row.trials, 0) << row.fault_count << " faults";
+    EXPECT_EQ(row.detected, 0) << row.fault_count << " faults";
   }
-  EXPECT_EQ(result.interrupted,
-            reported < 5L * options.trials_per_count);
 }
 
 TEST(CampaignStopTest, MidRunStopReturnsPromptly) {

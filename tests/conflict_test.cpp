@@ -491,7 +491,7 @@ TEST(LpConflictTest, FarkasRefutationLearnsCheckedClause) {
     CheckingObserver observer("farkas odd hole");
     Options on;
     on.presolve = presolve;
-    on.branching = Branching::kInputOrder;  // dive s = 0 first (s is var 0)
+    // Input-order branching dives s = 0 first (s is var 0).
     on.conflict_observer = &observer;
     Options off = on;
     off.conflict_learning = false;
@@ -518,7 +518,6 @@ void fuzz_mip(std::uint64_t seed) {
   const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
   CheckingObserver observer("mip seed=" + std::to_string(seed));
   Options learn;
-  learn.objective_is_integral = true;
   learn.conflict_observer = &observer;
   learn.conflict_backjumping = (seed % 2) == 0;  // cover both search shapes
   Options off = learn;
@@ -585,35 +584,27 @@ TEST(ConflictExplanationTest, ChainAndCutSetInstancesEveryNogoodChecks) {
 
 // ---------------------------------------------------- learning differentials
 
-/// Both branching rules, re-run with conflict learning off, on, and on
-/// with backjumping: optima bit-equal in every cell.
-TEST(ConflictDifferentialTest, BranchingOptimaIdenticalLearningOnAndOff) {
+/// Conflict learning off, on, and on with backjumping: optima bit-equal
+/// in every cell.
+TEST(ConflictDifferentialTest, OptimaIdenticalLearningOnAndOff) {
   for (int instance = 0; instance < 6; ++instance) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 48271 + 7);
     const Model model = test_support::random_mip(rng, /*cover_rows=*/3);
-    for (const Branching branching :
-         {Branching::kAuto, Branching::kInputOrder}) {
-      Options base;
-      base.objective_is_integral = true;
-      base.branching = branching;
-      Options off = base;
-      off.conflict_learning = false;
-      Options on = base;
-      on.conflict_learning = true;
-      Options jumping = on;
-      jumping.conflict_backjumping = true;
-      const Result b = solve(model, off);
-      const int rule = static_cast<int>(branching);
-      for (const Options* config : {&on, &jumping}) {
-        const Result a = solve(model, *config);
-        ASSERT_EQ(a.status, b.status)
-            << "instance " << instance << " branching " << rule << " jump "
+    Options off;
+    off.conflict_learning = false;
+    Options on;
+    Options jumping;
+    jumping.conflict_backjumping = true;
+    const Result b = solve(model, off);
+    for (const Options* config : {&on, &jumping}) {
+      const Result a = solve(model, *config);
+      ASSERT_EQ(a.status, b.status)
+          << "instance " << instance << " jump "
+          << config->conflict_backjumping;
+      if (a.status == ResultStatus::kOptimal) {
+        EXPECT_EQ(a.objective, b.objective)
+            << "instance " << instance << " jump "
             << config->conflict_backjumping;
-        if (a.status == ResultStatus::kOptimal) {
-          EXPECT_EQ(a.objective, b.objective)
-              << "instance " << instance << " branching " << rule << " jump "
-              << config->conflict_backjumping;
-        }
       }
     }
   }

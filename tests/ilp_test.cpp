@@ -50,7 +50,6 @@ TEST(BranchAndBoundTest, KnapsackOptimal) {
   }
   model.add_constraint(std::move(weight_terms), lp::Sense::kLessEqual, 10.0);
   Options options;
-  options.objective_is_integral = true;
   const Result result = solve(model, options);
   ASSERT_EQ(result.status, ResultStatus::kOptimal);
   EXPECT_NEAR(result.objective, -21.0, 1e-6);
@@ -97,7 +96,6 @@ TEST(BranchAndBoundTest, SetCover) {
   cover({{b, 1.0}, {c, 1.0}});            // element 3
   cover({{c, 1.0}, {d, 1.0}});            // element 4
   Options options;
-  options.objective_is_integral = true;
   const Result result = solve(model, options);
   ASSERT_EQ(result.status, ResultStatus::kOptimal);
   EXPECT_NEAR(result.objective, 2.0, 1e-9);
@@ -174,7 +172,6 @@ TEST_P(IlpRandomKnapsackTest, MatchesBruteForce) {
   }
   model.add_constraint(std::move(terms), lp::Sense::kLessEqual, capacity);
   Options options;
-  options.objective_is_integral = true;
   const Result result = solve(model, options);
   ASSERT_EQ(result.status, ResultStatus::kOptimal);
   EXPECT_NEAR(result.objective, -best, 1e-6);
@@ -201,37 +198,27 @@ void expect_brute_force_answer(const Model& model, const Result& result) {
 class IlpDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // The full pipeline (presolve + propagation + warm-started dual simplex +
-// pseudocosts + root cuts + conflict learning) must find the enumerated
-// optimum exactly.
+// root cuts + conflict learning) must find the enumerated optimum exactly.
 TEST_P(IlpDifferentialTest, DefaultMatchesBruteForceOptimum) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
   const Model model = random_mip(rng);
   Options options;
-  options.objective_is_integral = true;
   expect_brute_force_answer(model, solve(model, options));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomMips, IlpDifferentialTest,
                          ::testing::Range(0, 30));
 
-class IlpBranchingTest : public ::testing::TestWithParam<int> {};
+class IlpSecondSeedTest : public ::testing::TestWithParam<int> {};
 
-// Both branching rules must find the enumerated optimum on random MIPs:
-// the rule trades speed, never answers.
-TEST_P(IlpBranchingTest, EveryBranchingRuleMatchesBruteForce) {
+// A second family of random MIPs through the default pipeline.
+TEST_P(IlpSecondSeedTest, DefaultMatchesBruteForce) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 271828 + 17);
   const Model model = random_mip(rng);
-  for (const Branching branching :
-       {Branching::kAuto, Branching::kInputOrder}) {
-    Options options;
-    options.objective_is_integral = true;
-    options.branching = branching;
-    SCOPED_TRACE(static_cast<int>(branching));
-    expect_brute_force_answer(model, solve(model, options));
-  }
+  expect_brute_force_answer(model, solve(model));
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomMips, IlpBranchingTest,
+INSTANTIATE_TEST_SUITE_P(RandomMips, IlpSecondSeedTest,
                          ::testing::Range(0, 8));
 
 TEST(BranchAndBoundTest, FullyFixedModelSkipsNodeLoop) {
@@ -292,7 +279,6 @@ TEST(BranchAndBoundTest, DeterministicAcrossRuns) {
   const Model model = random_mip(rng);
   for (const bool learning : {true, false}) {
     Options options;
-    options.objective_is_integral = true;
     options.conflict_learning = learning;
     const Result first = solve(model, options);
     const Result second = solve(model, options);
@@ -332,11 +318,9 @@ TEST(BranchAndBoundTest, TinyPivotBudgetStillProvesOptimality) {
   }
   model.add_constraint(std::move(weight_terms), lp::Sense::kLessEqual, 12.0);
   Options options;
-  options.objective_is_integral = true;
   options.lp_iteration_limit = 1;  // absurdly small: every node LP stalls
   const Result result = solve(model, options);
   Options reference;
-  reference.objective_is_integral = true;
   const Result expected = solve(model, reference);
   ASSERT_EQ(expected.status, ResultStatus::kOptimal);
   ASSERT_EQ(result.status, ResultStatus::kOptimal)

@@ -20,17 +20,10 @@ SolveOptions dense_options() {
   return options;
 }
 
-SolveOptions revised_options(Pricing pricing) {
+SolveOptions revised_options() {
   SolveOptions options;
   options.algorithm = Algorithm::kRevised;
-  options.pricing = pricing;
   return options;
-}
-
-/// Sweep parameter: low bit selects the pricing rule, the rest seeds the
-/// RNG, so every differential case runs under both Dantzig and devex.
-Pricing pricing_of(int param) {
-  return param % 2 == 0 ? Pricing::kDantzig : Pricing::kDevex;
 }
 
 TEST(RevisedSimplexTest, MatchesDenseOnTransportation) {
@@ -162,11 +155,11 @@ Model random_model(common::Rng& rng) {
 class RevisedVsDenseTest : public ::testing::TestWithParam<int> {};
 
 // Differential: both engines must agree on feasibility, and on the optimal
-// objective when feasible — under both pricing rules.
+// objective when feasible.
 TEST_P(RevisedVsDenseTest, AgreesWithDenseOracle) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam() / 2) * 7919 + 13);
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
   Model model = random_model(rng);
-  const Solution revised = solve(model, revised_options(pricing_of(GetParam())));
+  const Solution revised = solve(model, revised_options());
   const Solution dense = solve(model, dense_options());
   ASSERT_NE(revised.status, SolveStatus::kIterationLimit);
   ASSERT_NE(dense.status, SolveStatus::kIterationLimit);
@@ -179,18 +172,17 @@ TEST_P(RevisedVsDenseTest, AgreesWithDenseOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLps, RevisedVsDenseTest,
-                         ::testing::Range(0, 120));
+                         ::testing::Range(0, 60));
 
 class WarmStartDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // The warm-started engine walks a random sequence of bound changes; after
-// every step its result must match a dense cold solve of the same model —
-// under both pricing rules.
+// every step its result must match a dense cold solve of the same model.
 TEST_P(WarmStartDifferentialTest, WarmEqualsColdOverBoundChanges) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam() / 2) * 104729 + 71);
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 71);
   Model model = random_model(rng);
   const int vars = model.variable_count();
-  RevisedSimplex solver(model, revised_options(pricing_of(GetParam())));
+  RevisedSimplex solver(model, revised_options());
 
   Model scratch = model;  // dense oracle sees the same bound trajectory
   for (int step = 0; step < 12; ++step) {
@@ -226,7 +218,7 @@ TEST_P(WarmStartDifferentialTest, WarmEqualsColdOverBoundChanges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomWalks, WarmStartDifferentialTest,
-                         ::testing::Range(0, 80));
+                         ::testing::Range(0, 40));
 
 class WarmRestoreDifferentialTest : public ::testing::TestWithParam<int> {};
 
@@ -236,13 +228,13 @@ class WarmRestoreDifferentialTest : public ::testing::TestWithParam<int> {};
 // reoptimized from the restored basis. Every restore runs twice in a row,
 // so the second call exercises the identical-basis fast path; either way
 // the reoptimized result must match a cold dense crash of the same bounds.
-// Any pricing or devex state left stale by the fast path shows up here as
+// Any devex state left stale by the fast path shows up here as
 // a wrong objective or status.
 TEST_P(WarmRestoreDifferentialTest, RestoredBasisEqualsColdCrash) {
-  common::Rng rng(static_cast<std::uint64_t>(GetParam() / 2) * 50021 + 9);
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 50021 + 9);
   Model model = random_model(rng);
   const int vars = model.variable_count();
-  RevisedSimplex solver(model, revised_options(pricing_of(GetParam())));
+  RevisedSimplex solver(model, revised_options());
 
   Model scratch = model;  // cold-crash oracle tracks the live bounds
   std::vector<BasisSnapshot> snapshots;
@@ -294,7 +286,7 @@ TEST_P(WarmRestoreDifferentialTest, RestoredBasisEqualsColdCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomRestores, WarmRestoreDifferentialTest,
-                         ::testing::Range(0, 60));
+                         ::testing::Range(0, 30));
 
 // Regression for the perturbed-cost path: the dual reoptimize runs on
 // leaned (anti-degeneracy) costs, and the exact-cost primal polish may hit
@@ -317,29 +309,27 @@ TEST(RevisedSimplexTest, TinyPolishBudgetNeverLeaksPerturbedCosts) {
   const Solution dense = solve(model, dense_options());
   ASSERT_EQ(dense.status, SolveStatus::kOptimal);
 
-  for (const Pricing pricing : {Pricing::kDantzig, Pricing::kDevex}) {
-    SolveOptions options = revised_options(pricing);
-    options.max_iterations = 1;  // absurdly small: every phase truncates
-    RevisedSimplex solver(model, options);
-    Solution solution;
-    bool reached_optimal = false;
-    for (long budget = 1; budget <= 1024 && !reached_optimal; budget *= 2) {
-      solver.set_iteration_limit(budget);
-      solution = solver.reoptimize();
-      ASSERT_FALSE(solver.numerical_trouble());
-      if (solution.status == SolveStatus::kIterationLimit &&
-          !solution.values.empty()) {
-        // A truncated-but-feasible report must price its own point with
-        // the exact objective vector.
-        EXPECT_EQ(solution.objective, model.objective_value(solution.values));
-        EXPECT_LE(model.max_violation(solution.values), 1e-6);
-      }
-      reached_optimal = solution.status == SolveStatus::kOptimal;
+  SolveOptions options = revised_options();
+  options.max_iterations = 1;  // absurdly small: every phase truncates
+  RevisedSimplex solver(model, options);
+  Solution solution;
+  bool reached_optimal = false;
+  for (long budget = 1; budget <= 1024 && !reached_optimal; budget *= 2) {
+    solver.set_iteration_limit(budget);
+    solution = solver.reoptimize();
+    ASSERT_FALSE(solver.numerical_trouble());
+    if (solution.status == SolveStatus::kIterationLimit &&
+        !solution.values.empty()) {
+      // A truncated-but-feasible report must price its own point with
+      // the exact objective vector.
+      EXPECT_EQ(solution.objective, model.objective_value(solution.values));
+      EXPECT_LE(model.max_violation(solution.values), 1e-6);
     }
-    ASSERT_TRUE(reached_optimal);
-    EXPECT_EQ(solution.objective, dense.objective)
-        << "objective must bit-match the dense tableau";
+    reached_optimal = solution.status == SolveStatus::kOptimal;
   }
+  ASSERT_TRUE(reached_optimal);
+  EXPECT_EQ(solution.objective, dense.objective)
+      << "objective must bit-match the dense tableau";
 }
 
 // A budget-truncated warm reoptimize after bound changes must also report

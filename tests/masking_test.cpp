@@ -2,10 +2,10 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/generator.h"
-#include "core/masking.h"
 #include "grid/builder.h"
 #include "grid/presets.h"
 #include "sim/coverage.h"
@@ -13,9 +13,8 @@
 namespace fpva::core {
 namespace {
 
-/// The audit's fault universe: both stuck faults per testable valve
-/// (structurally bypassed valves excluded), exactly as
-/// audit_and_repair_two_faults builds it.
+/// The audited fault universe: both stuck faults per testable valve
+/// (structurally bypassed valves excluded).
 std::vector<sim::Fault> audited_stuck_universe(const grid::ValveArray& array) {
   std::vector<bool> untestable(
       static_cast<std::size_t>(array.valve_count()), false);
@@ -37,86 +36,48 @@ std::string render(const std::vector<std::vector<sim::Fault>>& sets) {
   return out.str();
 }
 
-// The paper's guarantee: any two simultaneous faults are detected. We audit
-// exhaustively on small arrays.
-TEST(MaskingTest, TwoFaultGuaranteeOnFull5x5) {
-  const auto array = grid::full_array(5, 5);
+/// Asserts the paper's guarantee on the program `generate_test_set` emits
+/// for `array`, with no repair step: every pair of stuck-at faults on
+/// distinct testable valves is detected by brute-force pair simulation.
+void expect_every_stuck_pair_detected(const grid::ValveArray& array) {
   const sim::Simulator simulator(array);
-  auto set = generate_test_set(array);
-  const auto audit =
-      audit_and_repair_two_faults(array, simulator, set.vectors);
-  EXPECT_TRUE(audit.after.complete())
-      << audit.after.undetected.size() << " fault pairs escape";
-  EXPECT_GT(audit.before.total_pairs, 0);
+  const auto set = generate_test_set(array);
+  const auto universe = audited_stuck_universe(array);
+  const auto pairs =
+      sim::fault_set_coverage(simulator, set.vectors, universe, 2);
+  EXPECT_GT(pairs.total_sets, 0);
+  EXPECT_TRUE(pairs.complete())
+      << array.valve_count() << " valves; "
+      << pairs.total_sets - pairs.detected_sets << " of " << pairs.total_sets
+      << " pairs escape, the first:\n"
+      << render(pairs.undetected);
+}
+
+// The paper's guarantee: any two simultaneous faults are detected. We check
+// it exhaustively on small arrays.
+TEST(MaskingTest, TwoFaultGuaranteeOnFullArrays) {
+  for (const auto& [rows, cols] :
+       {std::pair{2, 2}, std::pair{3, 3}, std::pair{3, 4}, std::pair{4, 4},
+        std::pair{5, 5}}) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    expect_every_stuck_pair_detected(grid::full_array(rows, cols));
+  }
 }
 
 TEST(MaskingTest, TwoFaultGuaranteeOnTable1_5x5) {
-  const auto array = grid::table1_array(5);
-  const sim::Simulator simulator(array);
-  auto set = generate_test_set(array);
-  const auto audit =
-      audit_and_repair_two_faults(array, simulator, set.vectors);
-  EXPECT_TRUE(audit.after.complete());
+  expect_every_stuck_pair_detected(grid::table1_array(5));
 }
 
-TEST(MaskingTest, RepairAddsVectorsWhenSetIsWeak) {
-  // Start from a deliberately weak set (the path-stage vectors only, no
-  // cuts): stuck-at-1 faults are invisible, so pairs escape and the auditor
-  // must add cut vectors.
-  const auto array = grid::full_array(4, 4);
-  const sim::Simulator simulator(array);
-  const auto set = generate_test_set(array);
-  std::vector<sim::TestVector> vectors(
-      set.vectors.begin(), set.vectors.begin() + set.path_stage.vectors);
-  const std::size_t before_count = vectors.size();
-  const auto audit = audit_and_repair_two_faults(array, simulator, vectors);
-  EXPECT_LT(audit.before.detected_pairs, audit.before.total_pairs);
-  EXPECT_GT(audit.added_vectors, 0);
-  EXPECT_GT(vectors.size(), before_count);
-  EXPECT_GT(audit.after.detected_pairs, audit.before.detected_pairs);
-}
-
-TEST(MaskingTest, ObstaclePocketArrayStillAuditable) {
+TEST(MaskingTest, TwoFaultGuaranteeOnObstaclePocketArray) {
   // A constriction (obstacle wall with a single-valve gap) creates the
-  // masking geometry of Fig. 5(c)/(d); the audit must converge anyway.
+  // masking geometry of Fig. 5(c)/(d).
   const auto array = grid::LayoutBuilder(6, 6)
                          .obstacle_rect(grid::Cell{2, 0}, grid::Cell{2, 3})
                          .obstacle_rect(grid::Cell{2, 5}, grid::Cell{2, 5})
                          .default_ports()
                          .build();
-  const sim::Simulator simulator(array);
-  auto set = generate_test_set(array);
-  EXPECT_TRUE(set.undetected.empty());
-  const auto audit =
-      audit_and_repair_two_faults(array, simulator, set.vectors);
-  EXPECT_TRUE(audit.after.complete())
-      << audit.after.undetected.size() << " pairs escape";
-}
-
-TEST(MaskingCrossCheckTest, AuditClaimsMatchBruteForceSetEnumeration) {
-  // The audit's pair report and the independent fault-set enumerator must
-  // agree exactly: same pair count, same detected count, and a complete()
-  // claim must survive brute-force multi-fault simulation. Any divergence
-  // fails with the escaping fault sets printed.
-  const grid::ValveArray arrays[] = {
-      grid::full_array(2, 2), grid::full_array(3, 3), grid::full_array(3, 4),
-      grid::full_array(4, 4)};
-  for (const grid::ValveArray& array : arrays) {
-    const sim::Simulator simulator(array);
-    auto set = generate_test_set(array);
-    const auto audit =
-        audit_and_repair_two_faults(array, simulator, set.vectors);
-    const auto universe = audited_stuck_universe(array);
-    const auto brute =
-        sim::fault_set_coverage(simulator, set.vectors, universe, 2);
-    EXPECT_EQ(brute.total_sets, audit.after.total_pairs)
-        << array.valve_count() << " valves";
-    EXPECT_EQ(brute.detected_sets, audit.after.detected_pairs)
-        << array.valve_count() << " valves";
-    EXPECT_EQ(brute.complete(), audit.after.complete())
-        << array.valve_count() << " valves; escaping sets:\n"
-        << render(brute.undetected);
-  }
+  EXPECT_TRUE(generate_test_set(array).undetected.empty());
+  expect_every_stuck_pair_detected(array);
 }
 
 TEST(MaskingCrossCheckTest, SetEnumeratorMatchesScalarPairLoop) {

@@ -1,9 +1,9 @@
 // Every ilp::Options switch must be toggleable, and toggling must not
 // change the optimum — only the route the search takes to it. fpva_lint's
 // untested-option rule cross-references each Options field against the test
-// tree. The search switches (presolve, conflict learning, backjumping,
-// branching) are exercised by the brute-force differentials in ilp_test,
-// warm_row_test and conflict_test; this file keeps the seed literals.
+// tree. The search switches (presolve, conflict learning, backjumping) are
+// exercised by the brute-force differentials in ilp_test, warm_row_test and
+// conflict_test; this file keeps the seed literals.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -36,7 +36,6 @@ TEST(OptionsToggleTest, SeedLiteralsPinProvablyZeroItem) {
   model.add_constraint(std::move(weight_terms), lp::Sense::kLessEqual, 10.0);
 
   Options options;
-  options.objective_is_integral = true;
   options.presolve = false;
   options.seed_literals = {{oversized, /*is_lower=*/true, 1.0}};
   const Result seeded = solve(model, options);

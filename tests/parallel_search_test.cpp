@@ -51,7 +51,6 @@ TEST(ParallelBnbTest, SameOptimumAcrossThreadCounts) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 7919 + 11);
     const ilp::Model model = random_mip(rng);
     ilp::Options serial;
-    serial.objective_is_integral = true;
     const ilp::Result reference = ilp::solve(model, serial);
     ASSERT_EQ(reference.status, ilp::ResultStatus::kOptimal) << instance;
     for (const int threads : {2, 4, 8}) {
@@ -75,7 +74,6 @@ TEST(ParallelBnbTest, HardwareThreadCountResolvesAndSolves) {
   common::Rng rng(2017);
   const ilp::Model model = random_mip(rng);
   ilp::Options serial;
-  serial.objective_is_integral = true;
   const ilp::Result reference = ilp::solve(model, serial);
   ilp::Options options = serial;
   options.threads = 0;  // hardware concurrency
@@ -92,7 +90,6 @@ TEST(ParallelBnbTest, OneThreadBitIdenticalToSerialDefault) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 104729 + 3);
     const ilp::Model model = random_mip(rng);
     ilp::Options defaults;
-    defaults.objective_is_integral = true;
     ilp::Options explicit_one = defaults;
     explicit_one.threads = 1;
     explicit_one.stop = common::StopToken();  // empty token, never trips

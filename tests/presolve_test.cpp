@@ -72,7 +72,7 @@ TEST(PresolveTest, FixesAndSubstitutesVariables) {
   model.add_constraint({{a, 1.0}}, lp::Sense::kGreaterEqual, 1.0);
   model.add_constraint({{a, 1.0}, {b, 1.0}, {c, 1.0}},
                        lp::Sense::kGreaterEqual, 2.0);
-  const Presolved pres = presolve(model);
+  const Presolved pres = presolve(model, Propagator(model));
   ASSERT_FALSE(pres.infeasible);
   ASSERT_FALSE(pres.is_identity);
   EXPECT_EQ(pres.stats.variables_fixed, 1);
@@ -95,7 +95,7 @@ TEST(PresolveTest, RemovesSingletonAndRedundantRows) {
   model.add_constraint({{x, 1.0}, {y, 1.0}}, lp::Sense::kLessEqual,
                        100.0);  // redundant
   model.add_constraint({{x, 1.0}, {y, 1.0}}, lp::Sense::kGreaterEqual, 3.0);
-  const Presolved pres = presolve(model);
+  const Presolved pres = presolve(model, Propagator(model));
   ASSERT_FALSE(pres.infeasible);
   ASSERT_FALSE(pres.is_identity);
   EXPECT_EQ(pres.stats.rows_removed, 2);
@@ -109,7 +109,7 @@ TEST(PresolveTest, DetectsRootInfeasibility) {
   const int x = model.add_integer(0.0, 1.0, 0.0);
   model.add_constraint({{x, 3.0}}, lp::Sense::kGreaterEqual, 4.0);
   model.add_constraint({{x, 3.0}}, lp::Sense::kLessEqual, 5.0);
-  const Presolved pres = presolve(model);
+  const Presolved pres = presolve(model, Propagator(model));
   EXPECT_TRUE(pres.infeasible);
 }
 
@@ -122,7 +122,7 @@ TEST(PresolveTest, IdentityOnTightModels) {
     weight.push_back({model.add_binary(-1.0), 2.0});
   }
   model.add_constraint(std::move(weight), lp::Sense::kLessEqual, 7.0);
-  const Presolved pres = presolve(model);
+  const Presolved pres = presolve(model, Propagator(model));
   EXPECT_FALSE(pres.infeasible);
   EXPECT_TRUE(pres.is_identity);
   EXPECT_EQ(pres.reduced.variable_count(), 0);
@@ -174,7 +174,6 @@ TEST(PresolveTest, SolveThroughPresolveMatchesDirectSolve) {
   model.add_constraint({{a, 1.0}, {b, 1.0}, {c, 1.0}},
                        lp::Sense::kLessEqual, 2.0);
   Options with_presolve;
-  with_presolve.objective_is_integral = true;
   Options without = with_presolve;
   without.presolve = false;
   const Result on = solve(model, with_presolve);

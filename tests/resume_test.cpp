@@ -70,7 +70,6 @@ TEST(ResumeTest, SeedLiteralsApplyWithoutConflictLearning) {
 
   ilp::Options base;
   base.presolve = false;  // keep seed indices in the original space
-  base.objective_is_integral = true;
   const ilp::Result unseeded = ilp::solve(model, base);
   ASSERT_EQ(unseeded.status, ilp::ResultStatus::kOptimal);
   EXPECT_EQ(unseeded.objective, -2.0);

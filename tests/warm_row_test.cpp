@@ -128,31 +128,22 @@ TEST(WarmRowAdditionTest, EveryCutRoundMatchesColdCrash) {
   }
 }
 
-// Both branching rules over the warm-row pipeline must find the enumerated
-// optimum: warm rows change how the LP reaches the answer, never the
-// answer.
-TEST(WarmRowAdditionTest, BranchingRuleOptimaMatchBruteForce) {
+// The warm-row pipeline must find the enumerated optimum: warm rows change
+// how the LP reaches the answer, never the answer.
+TEST(WarmRowAdditionTest, OptimaMatchBruteForce) {
   for (int instance = 0; instance < 6; ++instance) {
     common::Rng rng(static_cast<std::uint64_t>(instance) * 982451653ULL + 29);
     const ilp::Model model = test_support::random_mip(rng);
     const std::optional<double> best = test_support::brute_force_optimum(model);
-    for (const ilp::Branching branching :
-         {ilp::Branching::kAuto, ilp::Branching::kInputOrder}) {
-      ilp::Options options;
-      options.objective_is_integral = true;
-      options.branching = branching;
-      const int rule = static_cast<int>(branching);
-      const ilp::Result result = ilp::solve(model, options);
-      if (!best.has_value()) {
-        EXPECT_EQ(result.status, ilp::ResultStatus::kInfeasible)
-            << "instance " << instance << " branching " << rule;
-        continue;
-      }
-      ASSERT_EQ(result.status, ilp::ResultStatus::kOptimal)
-          << "instance " << instance << " branching " << rule;
-      EXPECT_EQ(result.objective, *best)
-          << "instance " << instance << " branching " << rule;
+    const ilp::Result result = ilp::solve(model);
+    if (!best.has_value()) {
+      EXPECT_EQ(result.status, ilp::ResultStatus::kInfeasible)
+          << "instance " << instance;
+      continue;
     }
+    ASSERT_EQ(result.status, ilp::ResultStatus::kOptimal)
+        << "instance " << instance;
+    EXPECT_EQ(result.objective, *best) << "instance " << instance;
   }
 }
 
@@ -163,9 +154,7 @@ TEST(WarmRowAdditionTest, BranchingRuleOptimaMatchBruteForce) {
 // off it exhausts the 120 s default time limit before the proof closes.
 TEST(WarmRowAdditionTest, PresetBudgetsIdenticalAllSwitchesOnAndOff) {
   ilp::Options all_on;
-  all_on.objective_is_integral = true;
   ilp::Options all_off = test_support::all_switches_off();
-  all_off.objective_is_integral = true;
 
   const grid::ValveArray table1 = grid::table1_array(5);
   const grid::ValveArray full2 = grid::full_array(2, 2);
